@@ -11,10 +11,13 @@
  * wall-clock ratio is the recorded speedup. Results go to
  * BENCH_sim.json, the sim-layer analogue of BENCH_codec.json.
  *
- * The churn cell additionally records `sim.rate_recompute_flow_visits`
- * per operation at two live-flow scales: the incremental solver's
- * visits/op must not grow with the number of live flows in other
- * components (the sublinearity acceptance metric).
+ * Every cell also records the deterministic solver work behind its
+ * wall clock: `sim.rate_recomputes` (solves) and
+ * `sim.rate_recompute_flow_visits` (flows re-rated across them). The
+ * churn cell additionally records the visits per operation at two
+ * live-flow scales: the incremental solver's visits/op must not grow
+ * with the number of live flows in other components (the
+ * sublinearity acceptance metric).
  *
  * Exit code: non-zero if any cell fails its consistency checks; the
  * rates are recorded, not asserted (they depend on the machine).
@@ -50,8 +53,28 @@ struct CellResult
     long long events = 0;
     double seconds = 0.0;
     double eventsPerSec = 0.0;
+    /** Solver work over the cell (registry counter deltas). */
+    long long recomputes = 0;
+    long long visits = 0;
     bool ok = true;
 };
+
+/** Runs one cell, stamping the solver counters it moved. */
+template <typename Fn>
+CellResult
+counted(Fn &&cell)
+{
+    auto &recomputes =
+        telemetry::metrics().counter("sim.rate_recomputes");
+    auto &visits = telemetry::metrics().counter(
+        "sim.rate_recompute_flow_visits");
+    const int64_t r0 = recomputes.value.load();
+    const int64_t v0 = visits.value.load();
+    CellResult r = cell();
+    r.recomputes = recomputes.value.load() - r0;
+    r.visits = visits.value.load() - v0;
+    return r;
+}
 
 double
 wallSeconds(const std::chrono::steady_clock::time_point &start)
@@ -304,28 +327,36 @@ main(int argc, char **argv)
 
     {
         Pair p;
-        p.inc = runChurn(false, churnPairs, churnOps,
-                         &p.visitsPerOpInc);
-        p.ref = runChurn(true, churnPairs, churnOps,
-                         &p.visitsPerOpRef);
+        p.inc = counted([&] {
+            return runChurn(false, churnPairs, churnOps,
+                            &p.visitsPerOpInc);
+        });
+        p.ref = counted([&] {
+            return runChurn(true, churnPairs, churnOps,
+                            &p.visitsPerOpRef);
+        });
         cells.push_back(p);
     }
     {
         Pair p;
-        p.inc = runChains(false, chainChunks);
-        p.ref = runChains(true, chainChunks);
+        p.inc = counted([&] { return runChains(false, chainChunks); });
+        p.ref = counted([&] { return runChains(true, chainChunks); });
         cells.push_back(p);
     }
     {
         Pair p;
-        p.inc = runDag64(false, dagLanes, dagRounds);
-        p.ref = runDag64(true, dagLanes, dagRounds);
+        p.inc = counted(
+            [&] { return runDag64(false, dagLanes, dagRounds); });
+        p.ref = counted(
+            [&] { return runDag64(true, dagLanes, dagRounds); });
         cells.push_back(p);
     }
     {
         Pair p;
-        p.inc = runYcsb(false, ycsbNodes, ycsbRequests);
-        p.ref = runYcsb(true, ycsbNodes, ycsbRequests);
+        p.inc = counted(
+            [&] { return runYcsb(false, ycsbNodes, ycsbRequests); });
+        p.ref = counted(
+            [&] { return runYcsb(true, ycsbNodes, ycsbRequests); });
         cells.push_back(p);
     }
 
@@ -346,10 +377,13 @@ main(int argc, char **argv)
                                          p.ref.eventsPerSec
                                    : 0.0;
         std::printf("  %-6s  %9lld events  inc %12.0f ev/s  "
-                    "ref %12.0f ev/s  %5.2fx  [%s]\n",
+                    "ref %12.0f ev/s  %5.2fx  [%s]\n"
+                    "          rate_recomputes inc %lld ref %lld  "
+                    "recompute_flow_visits inc %lld ref %lld\n",
                     p.inc.name.c_str(), p.inc.events,
                     p.inc.eventsPerSec, p.ref.eventsPerSec, speedup,
-                    consistent ? "ok" : "FAIL");
+                    consistent ? "ok" : "FAIL", p.inc.recomputes,
+                    p.ref.recomputes, p.inc.visits, p.ref.visits);
     }
     const double visitsGrowth =
         visitsSmall > 0 ? visitsLarge / visitsSmall : 0.0;
@@ -383,11 +417,16 @@ main(int argc, char **argv)
                 "    {\"cell\": \"%s\", \"events\": %lld,\n"
                 "     \"incremental_events_per_sec\": %s,\n"
                 "     \"reference_events_per_sec\": %s,\n"
-                "     \"speedup\": %s}%s\n",
+                "     \"speedup\": %s,\n"
+                "     \"incremental_rate_recomputes\": %lld,\n"
+                "     \"incremental_recompute_flow_visits\": %lld,\n"
+                "     \"reference_rate_recomputes\": %lld,\n"
+                "     \"reference_recompute_flow_visits\": %lld}%s\n",
                 p.inc.name.c_str(), p.inc.events,
                 formatDouble(p.inc.eventsPerSec).c_str(),
                 formatDouble(p.ref.eventsPerSec).c_str(),
-                formatDouble(speedup).c_str(),
+                formatDouble(speedup).c_str(), p.inc.recomputes,
+                p.inc.visits, p.ref.recomputes, p.ref.visits,
                 i + 1 < cells.size() ? "," : "");
         }
         std::fprintf(

@@ -1,5 +1,7 @@
 #include "cluster/cluster.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace chameleon {
@@ -11,6 +13,10 @@ Cluster::Cluster(sim::Simulator &sim, const ClusterConfig &config)
     CHAMELEON_ASSERT(config.numNodes >= 1, "cluster needs nodes");
     CHAMELEON_ASSERT(config.numClients >= 0, "negative client count");
     down_.assign(static_cast<std::size_t>(config.numNodes), false);
+    net_.reserveResources(
+        static_cast<std::size_t>(3 * config.numNodes +
+                                 2 * config.numClients +
+                                 2 * std::max(config.racks, 0)));
     for (int i = 0; i < config.numNodes; ++i) {
         const std::string base = "node" + std::to_string(i);
         uplinks_.push_back(net_.addResource(base + ".up",

@@ -37,6 +37,13 @@ FlowNetwork::FlowNetwork(Simulator &sim, SimTime usage_window)
     if (const char *env =
             std::getenv("CHAMELEON_SIM_REFERENCE_SOLVER"))
         referenceSolver_ = env[0] != '\0' && env[0] != '0';
+    sim_.setPreAdvanceHook([this] { return resolve(); });
+}
+
+FlowNetwork::~FlowNetwork()
+{
+    sim_.clearPreAdvanceHook();
+    completionEvent_.cancel();
 }
 
 void
@@ -114,8 +121,7 @@ FlowNetwork::setCapacity(ResourceId id, Rate capacity)
         {{"resource",
           resources_[static_cast<std::size_t>(id)].name},
          {"capacity", capacity}}));
-    seedScratch_.assign(1, id);
-    resolve(seedScratch_);
+    addSeed(id);
 }
 
 FlowId
@@ -145,7 +151,7 @@ FlowNetwork::startFlow(std::vector<ResourceId> path, Bytes size,
     FlowId id = nextFlowId_++;
     if (size <= kByteEps || path.empty()) {
         // Degenerate flow: completes immediately. No rate can
-        // change, so skip the solve entirely.
+        // change, so it seeds no solve.
         if (on_complete)
             pendingCallbacks_.push_back(std::move(on_complete));
         dispatchPending();
@@ -171,7 +177,7 @@ FlowNetwork::startFlow(std::vector<ResourceId> path, Bytes size,
     heapUpdate(&stored); // eta = never until the solve rates it
     flowsStarted_.add();
     flowsActive_.set(static_cast<double>(flows_.size()));
-    resolve(stored.path);
+    addSeeds(stored.path);
     return id;
 }
 
@@ -182,14 +188,16 @@ FlowNetwork::cancelFlow(FlowId id)
     if (it == flows_.end())
         return 0.0; // no-op: no rate can change, skip the solve
     Flow &flow = it->second;
+    // flow.rate is still the rate since the flow's last integration:
+    // a pending solve has not yet re-rated anything.
     const SimTime end = integrateFlow(flow, sim_.now(), flow.rate);
-    seedScratch_.assign(flow.path.begin(), flow.path.end());
+    addSeeds(flow.path);
     if (flow.rate > 0 && flow.remaining <= kByteEps) {
         // The last byte arrived at (or before) this instant; the
         // completion event just hasn't fired yet. Complete, don't
         // cancel.
         completeFlow(flow, end);
-        resolve(seedScratch_);
+        dispatchPending();
         return 0.0;
     }
     const Bytes remaining = flow.remaining;
@@ -199,7 +207,6 @@ FlowNetwork::cancelFlow(FlowId id)
     detachFlow(flow);
     flows_.erase(it);
     flowsActive_.set(static_cast<double>(flows_.size()));
-    resolve(seedScratch_);
     return remaining;
 }
 
@@ -227,15 +234,16 @@ FlowNetwork::flowRate(FlowId id) const
 {
     auto it = flows_.find(id);
     CHAMELEON_ASSERT(it != flows_.end(), "flow ", id, " not active");
+    const_cast<FlowNetwork *>(this)->resolve();
     return it->second.rate;
 }
 
 void
 FlowNetwork::sync()
 {
+    // Every flow's rate is still the one it had since its last
+    // integration, so no solve is needed to integrate.
     const SimTime now = sim_.now();
-    seedScratch_.clear();
-    bool completed = false;
     for (auto it = flows_.begin(); it != flows_.end();) {
         Flow &flow = it->second;
         ++it; // completeFlow erases the current node
@@ -243,14 +251,11 @@ FlowNetwork::sync()
         if (flow.rate > 0 && flow.remaining <= kByteEps) {
             // Finished exactly at this instant; fire its callback
             // now rather than waiting for the completion event.
-            for (ResourceId r : flow.path)
-                seedScratch_.push_back(r);
-            completed = true;
+            addSeeds(flow.path);
             completeFlow(flow, end);
         }
     }
-    if (completed)
-        resolve(seedScratch_);
+    dispatchPending();
 }
 
 Bytes
@@ -279,6 +284,7 @@ FlowNetwork::currentTagRate(ResourceId id, FlowTag tag) const
     CHAMELEON_ASSERT(id >= 0 &&
                      static_cast<std::size_t>(id) < resources_.size(),
                      "bad resource id ", id);
+    const_cast<FlowNetwork *>(this)->resolve();
     return resources_[static_cast<std::size_t>(id)]
         .tagRate[static_cast<int>(tag)];
 }
@@ -339,68 +345,85 @@ FlowNetwork::detachFlow(Flow &flow)
         vec.pop_back();
     }
     // Per-tag rate sums of the touched resources are refreshed by the
-    // resolve() that always follows a detach (the flow's path seeds
-    // the dirty set).
+    // next solve: every detach seeds the flow's path.
 }
 
-void
-FlowNetwork::resolve(const std::vector<ResourceId> &seeds)
+bool
+FlowNetwork::resolve()
 {
+    if (pendingSeeds_.empty())
+        return false; // nothing changed since the last solve
     const SimTime now = sim_.now();
     rateRecomputes_.add();
-    dirtyRes_.clear();
-    dirtyFlows_.clear();
     ++epoch_;
-    const uint64_t epoch = epoch_;
 
     if (referenceSolver_) {
         // Oracle mode: the dirty set is the whole network, making
         // this the classic from-scratch global solve. Everything
         // downstream is shared with incremental mode, so the two
         // modes differ only in dirty-set discovery.
+        dirtyRes_.clear();
+        dirtyFlows_.clear();
         for (auto &res : resources_)
             dirtyRes_.push_back(&res);
         for (auto &[id, flow] : flows_)
             dirtyFlows_.push_back(&flow);
+        solveDirty(now);
     } else {
         // Dirty-set discovery: the max-min allocation of a flow can
         // only change if it shares a resource (transitively) with a
         // changed one, so BFS over the flow<->resource bipartite
-        // graph from the seed resources bounds the re-solve to the
-        // affected connected component(s).
-        bfsStack_.clear();
-        for (ResourceId r : seeds) {
-            Resource &res = resources_[static_cast<std::size_t>(r)];
-            if (res.mark == epoch)
-                continue;
-            res.mark = epoch;
-            dirtyRes_.push_back(&res);
-            bfsStack_.push_back(&res);
-        }
-        while (!bfsStack_.empty()) {
-            Resource *res = bfsStack_.back();
-            bfsStack_.pop_back();
-            for (Flow *f : res->active) {
-                if (f->mark == epoch)
-                    continue;
-                f->mark = epoch;
-                dirtyFlows_.push_back(f);
-                for (ResourceId pr : f->path) {
-                    Resource &o =
-                        resources_[static_cast<std::size_t>(pr)];
-                    if (o.mark == epoch)
+        // graph from each seed resource bounds the re-solve to the
+        // affected connected components. Each component is solved
+        // on its own: an instant's seeds often span many disjoint
+        // components, and one fill over their union would rescan
+        // every component's resources for every bottleneck round.
+        const uint64_t epoch = epoch_;
+        for (ResourceId r : pendingSeeds_) {
+            Resource &seed = resources_[static_cast<std::size_t>(r)];
+            if (seed.mark == epoch)
+                continue; // in a component solved already
+            seed.mark = epoch;
+            dirtyRes_.assign(1, &seed);
+            dirtyFlows_.clear();
+            bfsStack_.assign(1, &seed);
+            while (!bfsStack_.empty()) {
+                Resource *res = bfsStack_.back();
+                bfsStack_.pop_back();
+                for (Flow *f : res->active) {
+                    if (f->mark == epoch)
                         continue;
-                    o.mark = epoch;
-                    dirtyRes_.push_back(&o);
-                    bfsStack_.push_back(&o);
+                    f->mark = epoch;
+                    dirtyFlows_.push_back(f);
+                    for (ResourceId pr : f->path) {
+                        Resource &o =
+                            resources_[static_cast<std::size_t>(pr)];
+                        if (o.mark == epoch)
+                            continue;
+                        o.mark = epoch;
+                        dirtyRes_.push_back(&o);
+                        bfsStack_.push_back(&o);
+                    }
                 }
             }
+            // The bottleneck scan must visit resources in index order
+            // so its tie-break matches the reference solver's
+            // bit-for-bit (pointer order == index order: resources_
+            // is contiguous).
+            std::sort(dirtyRes_.begin(), dirtyRes_.end());
+            solveDirty(now);
         }
-        // The bottleneck scan must visit resources in index order so
-        // its tie-break matches the reference solver's bit-for-bit
-        // (pointer order == index order: resources_ is contiguous).
-        std::sort(dirtyRes_.begin(), dirtyRes_.end());
     }
+    for (ResourceId r : pendingSeeds_)
+        resources_[static_cast<std::size_t>(r)].seeded = false;
+    pendingSeeds_.clear();
+    scheduleNextCompletion();
+    return true;
+}
+
+void
+FlowNetwork::solveDirty(SimTime now)
+{
     dirtyResourceVisits_.add(
         static_cast<int64_t>(dirtyRes_.size()));
     rateRecomputeVisits_.add(
@@ -461,9 +484,11 @@ FlowNetwork::resolve(const std::vector<ResourceId> &seeds)
     // Apply pass, ordered by flow id so both solver modes touch
     // flows in the same sequence: integrate each re-rated flow over
     // the span its old rate covered, and re-key its predicted
-    // completion. Flows whose rate is bit-unchanged are skipped —
-    // their progress stays lazily pending and their heap entry is
-    // already correct.
+    // completion. prevRate is the rate before this instant (rates
+    // only change in a solve, and one solve covers the instant), so
+    // a flow whose rate is bit-unchanged across the instant is
+    // skipped however much churn happened around it — its progress
+    // stays lazily pending and its heap entry is already correct.
     std::sort(dirtyFlows_.begin(), dirtyFlows_.end(),
               [](const Flow *a, const Flow *b) { return a->id < b->id; });
     for (Flow *f : dirtyFlows_) {
@@ -486,9 +511,6 @@ FlowNetwork::resolve(const std::vector<ResourceId> &seeds)
         for (int t = 0; t < kNumFlowTags; ++t)
             res->tagRate[t] = sums[t];
     }
-
-    scheduleNextCompletion();
-    dispatchPending();
 }
 
 void
@@ -511,15 +533,13 @@ FlowNetwork::onCompletionEvent()
 {
     completionEventAt_ = kTimeNever;
     const SimTime now = sim_.now();
-    seedScratch_.clear();
     while (!heap_.empty()) {
         Flow *f = heap_.front();
         if (f->eta > now)
             break;
         const SimTime end = integrateFlow(*f, now, f->rate);
         if (f->remaining <= kByteEps) {
-            for (ResourceId r : f->path)
-                seedScratch_.push_back(r);
+            addSeeds(f->path);
             completeFlow(*f, end);
             continue;
         }
@@ -528,22 +548,26 @@ FlowNetwork::onCompletionEvent()
         // residue is sub-ulp — force completion to avoid a livelock.
         const SimTime eta = now + f->remaining / f->rate;
         if (eta <= now) {
-            for (ResourceId r : f->path)
-                seedScratch_.push_back(r);
+            addSeeds(f->path);
             completeFlow(*f, now);
             continue;
         }
         f->eta = eta;
         heapSiftDown(0);
     }
-    resolve(seedScratch_);
+    // Completions leave seeds, and their solve re-arms the event;
+    // with none (only re-keyed dust) re-arm it here.
+    if (pendingSeeds_.empty())
+        scheduleNextCompletion();
+    dispatchPending();
 }
 
 void
 FlowNetwork::dispatchPending()
 {
-    // Staged completion callbacks may start new flows, which
-    // re-enters resolve() — the dispatching_ flag prevents a
+    // A callback may complete more flows (a zero-byte start, a
+    // cancel of a finished flow, a sync), which stages callbacks and
+    // calls back in here — the dispatching_ flag prevents a
     // recursive drain.
     if (dispatching_)
         return;

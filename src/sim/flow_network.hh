@@ -10,19 +10,22 @@
  * filling), the standard fluid abstraction of TCP sharing on
  * datacenter links. Rates are piecewise constant between events.
  *
- * Rate maintenance is incremental (see DESIGN.md §5g): a flow start,
- * finish, cancel, or capacity change re-solves only the connected
- * component of resources reachable from the changed resources through
+ * Rate maintenance is incremental and deferred (see DESIGN.md §5g): a
+ * flow start, finish, cancel, or capacity change only records the
+ * resources it touched. One solve per simulated instant then re-rates
+ * the connected component(s) reachable from those resources through
  * shared flows — the only region whose bottleneck structure can
- * change — while every other flow keeps its rate bit-for-bit. Flow
- * progress is integrated lazily per flow (each flow remembers the
- * last instant it was integrated and its rate is constant since), and
- * completions come from an intrusive min-heap of predicted completion
- * times instead of an all-flows scan. Setting the environment
- * variable CHAMELEON_SIM_REFERENCE_SOLVER=1 (or calling
- * setReferenceSolver(true)) forces the from-scratch global solve on
- * every event as a differential oracle; both modes produce
- * byte-identical rates, event orders, and experiment output.
+ * change — while every other flow keeps its rate bit-for-bit. The
+ * solve runs from the simulator's pre-advance hook, just before time
+ * moves, or earlier when a rate is read (flowRate, currentTagRate).
+ * Flow progress is integrated lazily per flow (each flow remembers
+ * the last instant it was integrated and its rate is constant since),
+ * and completions come from an intrusive min-heap of predicted
+ * completion times instead of an all-flows scan. Setting the
+ * environment variable CHAMELEON_SIM_REFERENCE_SOLVER=1 (or calling
+ * setReferenceSolver(true)) makes every solve the from-scratch global
+ * one as a differential oracle; both modes produce byte-identical
+ * rates, event orders, and experiment output.
  *
  * Per-resource, per-tag byte accounting feeds the paper's
  * measurements: foreground-bandwidth fluctuation (Fig. 5), most/least
@@ -94,18 +97,34 @@ class FlowNetwork
      * @param sim           the owning event loop.
      * @param usage_window  window for per-resource bandwidth
      *                      accounting (the paper uses 15 s windows).
+     *
+     * Registers the simulator's pre-advance hook, so a simulator
+     * carries at most one FlowNetwork at a time.
      */
     explicit FlowNetwork(Simulator &sim, SimTime usage_window = 15.0);
 
+    /** Unregisters the pre-advance hook and the completion event. */
+    ~FlowNetwork();
+
+    FlowNetwork(const FlowNetwork &) = delete;
+    FlowNetwork &operator=(const FlowNetwork &) = delete;
+
     /** Registers a resource; capacity in bytes/second. */
     ResourceId addResource(std::string name, Rate capacity);
+
+    /** Sizes the resource table for `count` resources up front, so
+     * registering them never reallocates it. */
+    void reserveResources(std::size_t count)
+    {
+        resources_.reserve(count);
+    }
 
     std::size_t resourceCount() const { return resources_.size(); }
     const std::string &resourceName(ResourceId id) const;
     Rate capacity(ResourceId id) const;
 
-    /** Changes capacity (straggler/throttle injection); re-solves
-     * the affected component. */
+    /** Changes capacity (straggler/throttle injection); the affected
+     * component is re-solved before time advances. */
     void setCapacity(ResourceId id, Rate capacity);
 
     /**
@@ -138,7 +157,8 @@ class FlowNetwork
      * instant (the flow is lazily integrated on read). */
     Bytes flowRemaining(FlowId id) const;
 
-    /** Current allocated rate of an active flow (bytes/s). */
+    /** Current allocated rate of an active flow (bytes/s); solves
+     * pending changes first. */
     Rate flowRate(FlowId id) const;
 
     /** Number of currently active flows. */
@@ -161,16 +181,17 @@ class FlowNetwork
     const WindowedUsage &usage(ResourceId id, FlowTag tag) const;
 
     /** Instantaneous aggregate rate of `tag` flows through `id`;
-     * O(1) via incrementally maintained per-tag sums. */
+     * O(1) via incrementally maintained per-tag sums (after solving
+     * pending changes). */
     Rate currentTagRate(ResourceId id, FlowTag tag) const;
 
     /** Count of active flows through `id`. */
     std::size_t activeFlowsOn(ResourceId id) const;
 
     /**
-     * Forces the from-scratch global max-min solve on every event
-     * (the debug oracle the incremental solver is differentially
-     * tested against). Also enabled by the environment variable
+     * Makes every solve the from-scratch global max-min solve (the
+     * debug oracle the incremental solver is differentially tested
+     * against). Also enabled by the environment variable
      * CHAMELEON_SIM_REFERENCE_SOLVER=1 at construction.
      */
     void setReferenceSolver(bool on) { referenceSolver_ = on; }
@@ -222,6 +243,8 @@ class FlowNetwork
         int32_t tagCount[kNumFlowTags] = {0, 0, 0};
         /** Dirty-set traversal epoch (solve-internal). */
         uint64_t mark = 0;
+        /** Already in pendingSeeds_. */
+        bool seeded = false;
         /** Progressive-filling scratch (solve-internal). */
         Rate residual = 0.0;
         std::size_t unfrozen = 0;
@@ -242,14 +265,36 @@ class FlowNetwork
      */
     SimTime integrateFlow(Flow &flow, SimTime now, Rate rate);
 
+    /** Records a changed resource for the next solve. */
+    void addSeed(ResourceId r)
+    {
+        Resource &res = resources_[static_cast<std::size_t>(r)];
+        if (res.seeded)
+            return;
+        res.seeded = true;
+        pendingSeeds_.push_back(r);
+    }
+    void addSeeds(const std::vector<ResourceId> &path)
+    {
+        for (ResourceId r : path)
+            addSeed(r);
+    }
+
     /**
-     * Re-solves the max-min allocation of the connected component(s)
-     * reachable from `seeds`, lazily integrating and re-keying every
-     * flow whose rate actually changed, then reschedules the next
-     * completion and dispatches staged callbacks. In reference-solver
-     * mode the dirty set is the whole network.
+     * If any change is pending, re-solves the max-min allocation of
+     * the connected component(s) reachable from the pending seeds,
+     * one component at a time, then reschedules the next completion.
+     * In reference-solver mode the dirty set is the whole network.
+     * The pre-advance hook and the rate readers call it.
+     * @return true if it solved.
      */
-    void resolve(const std::vector<ResourceId> &seeds);
+    bool resolve();
+
+    /** Progressive filling over dirtyRes_/dirtyFlows_ (one
+     * component, or the whole network), integrating and re-keying
+     * every flow whose rate changed across the instant, and
+     * refreshing the per-tag rate sums of the dirty resources. */
+    void solveDirty(SimTime now);
 
     /** Stages the completion of a finished flow: callback, counters,
      * trace span, detach, erase. `flow` is dead afterwards. */
@@ -296,6 +341,9 @@ class FlowNetwork
     EventHandle completionEvent_;
     /** Absolute time the pending completion event targets. */
     SimTime completionEventAt_ = kTimeNever;
+    /** Resources changed since the last solve (deduplicated by
+     * Resource::seeded). */
+    std::vector<ResourceId> pendingSeeds_;
     /** Completion callbacks staged during integration. */
     std::vector<Callback> pendingCallbacks_;
     bool dispatching_ = false;
@@ -308,7 +356,6 @@ class FlowNetwork
     std::vector<Resource *> dirtyRes_;
     std::vector<Flow *> dirtyFlows_;
     std::vector<Resource *> bfsStack_;
-    std::vector<ResourceId> seedScratch_;
 };
 
 } // namespace sim

@@ -1,5 +1,7 @@
 #include "sim/simulator.hh"
 
+#include <algorithm>
+
 #include "telemetry/telemetry.hh"
 #include "util/logging.hh"
 
@@ -86,27 +88,43 @@ Simulator::compactTop()
     return false;
 }
 
+void
+Simulator::setPreAdvanceHook(PreAdvanceHook hook)
+{
+    CHAMELEON_ASSERT(!preAdvance_,
+                     "simulator already has a pre-advance hook");
+    preAdvance_ = std::move(hook);
+}
+
+void
+Simulator::runTop()
+{
+    QueueEntry entry = queue_.top();
+    queue_.pop();
+    now_ = entry.when;
+    // Move the callback out and free the slot first, so the callback
+    // can freely schedule new events (possibly reusing this very
+    // slot) and handles to this event read not-pending while it runs.
+    Callback fn = std::move(slots_[entry.slot].fn);
+    freeSlot(entry.slot);
+    --live_;
+    fn();
+    ++executed_;
+}
+
 std::size_t
 Simulator::run(SimTime until)
 {
     std::size_t ran = 0;
-    while (compactTop()) {
-        const QueueEntry &top = queue_.top();
-        if (top.when > until)
+    for (;;) {
+        const bool have = compactTop();
+        const SimTime next = have ? queue_.top().when : kTimeNever;
+        if (preAdvance(std::min(next, until)))
+            continue;
+        if (!have || next > until)
             break;
-        QueueEntry entry = top;
-        queue_.pop();
-        now_ = entry.when;
-        // Move the callback out and free the slot first, so the
-        // callback can freely schedule new events (possibly reusing
-        // this very slot) and handles to this event read not-pending
-        // while it runs.
-        Callback fn = std::move(slots_[entry.slot].fn);
-        freeSlot(entry.slot);
-        --live_;
-        fn();
+        runTop();
         ++ran;
-        ++executed_;
     }
     if (until != kTimeNever && until > now_)
         now_ = until;
@@ -116,17 +134,15 @@ Simulator::run(SimTime until)
 bool
 Simulator::step()
 {
-    if (!compactTop())
-        return false;
-    QueueEntry entry = queue_.top();
-    queue_.pop();
-    now_ = entry.when;
-    Callback fn = std::move(slots_[entry.slot].fn);
-    freeSlot(entry.slot);
-    --live_;
-    fn();
-    ++executed_;
-    return true;
+    for (;;) {
+        const bool have = compactTop();
+        if (preAdvance(have ? queue_.top().when : kTimeNever))
+            continue;
+        if (!have)
+            return false;
+        runTop();
+        return true;
+    }
 }
 
 } // namespace sim

@@ -15,6 +15,11 @@
  * allocation beyond amortized slab/queue growth. A live-event
  * counter makes idle() O(1) even when cancelled entries linger in
  * the heap; dead entries are popped lazily as they surface.
+ *
+ * One component may register a pre-advance hook: it runs after the
+ * last event of an instant, just before run()/step() move now()
+ * forward. The fluid network uses it to defer every max-min re-solve
+ * of an instant into one (DESIGN.md §5g).
  */
 
 #ifndef CHAMELEON_SIM_SIMULATOR_HH_
@@ -65,6 +70,10 @@ class Simulator
     /** Event callback; captures up to 48 bytes stay inline. */
     using Callback = util::SmallFunction<void()>;
 
+    /** Pre-advance hook; returns true if it did work (it may have
+     * scheduled events, so the loop looks at the queue again). */
+    using PreAdvanceHook = util::SmallFunction<bool()>;
+
     Simulator() = default;
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
@@ -88,15 +97,28 @@ class Simulator
     /**
      * Runs events until the queue is empty or `until` is reached.
      * Advances now() to `until` if the queue drains earlier and
-     * `until` is finite.
+     * `until` is finite. The pre-advance hook runs before every move
+     * of now(), including that final one.
      * @return number of events executed.
      */
     std::size_t run(SimTime until = kTimeNever);
 
-    /** Executes exactly one event if any is pending. */
+    /** Executes exactly one event if any is pending (running the
+     * pre-advance hook first if the event lies in the future). */
     bool step();
 
-    /** True if no events are pending; O(1) via the live counter. */
+    /**
+     * Registers the pre-advance hook (see file comment). At most one
+     * per simulator: registering a second one asserts.
+     */
+    void setPreAdvanceHook(PreAdvanceHook hook);
+
+    /** Removes the pre-advance hook (no-op if none). */
+    void clearPreAdvanceHook() { preAdvance_.reset(); }
+
+    /** True if no events are pending; O(1) via the live counter.
+     * Work the pre-advance hook has not done yet does not count:
+     * run() and step() do it before they report the queue empty. */
     bool idle() const { return live_ == 0; }
 
     /** Events pending (scheduled, not yet run or cancelled). */
@@ -144,6 +166,16 @@ class Simulator
      * false when the queue is exhausted. */
     bool compactTop();
 
+    /** Runs the pre-advance hook if now() would move to `next`;
+     * true if the hook did work and the queue must be re-read. */
+    bool preAdvance(SimTime next)
+    {
+        return next > now_ && preAdvance_ && preAdvance_();
+    }
+
+    /** Pops the queue top and runs its callback. */
+    void runTop();
+
     SimTime now_ = 0.0;
     uint64_t seq_ = 0;
     uint64_t executed_ = 0;
@@ -152,6 +184,7 @@ class Simulator
     std::vector<uint32_t> freeSlots_;
     std::priority_queue<QueueEntry, std::vector<QueueEntry>,
                         std::greater<>> queue_;
+    PreAdvanceHook preAdvance_;
 };
 
 } // namespace sim

@@ -147,7 +147,8 @@ Tracer::Tracer(std::size_t capacity)
     : capacity_(capacity)
 {
     CHAMELEON_ASSERT(capacity_ > 0, "tracer needs capacity");
-    events_.reserve(std::min<std::size_t>(capacity_, 4096));
+    // No eager reserve: every RunTelemetry owns a Tracer, and most
+    // runs never record an event.
     runNames_.push_back("run-0");
 }
 

@@ -12,6 +12,9 @@
  * Invariants (rate sums within capacity, O(1) tag-rate sums matching
  * a fresh walk) are checked on the incremental side, and the
  * dirty-set counters are asserted sublinear on disjoint components.
+ * Deferral is pinned too: same-instant churn costs one solve at the
+ * clock advance, a same-instant start+cancel leaves no trace, and a
+ * run cut into 0.1 s steps equals one run.
  */
 
 #include <algorithm>
@@ -316,6 +319,8 @@ TEST(SimIncremental, DirtySetStaysWithinComponent)
     net.setReferenceSolver(false);
     auto &visits = telemetry::metrics().counter(
         "sim.rate_recompute_flow_visits");
+    auto &recomputes =
+        telemetry::metrics().counter("sim.rate_recomputes");
 
     // 32 disjoint two-resource components, 4 long flows each: 128
     // live flows total, but churn inside one component must never
@@ -327,27 +332,262 @@ TEST(SimIncremental, DirtySetStaysWithinComponent)
         up[p] = net.addResource("up" + std::to_string(p), 100.0);
         down[p] = net.addResource("down" + std::to_string(p), 100.0);
     }
+    FlowId longFlow = kInvalidFlow;
     for (int p = 0; p < kPairs; ++p)
         for (int f = 0; f < kFlowsPerPair; ++f)
-            net.startFlow({up[p], down[p]}, 1e9,
-                          FlowTag::kRepair, nullptr);
+            longFlow = net.startFlow({up[p], down[p]}, 1e9,
+                                     FlowTag::kRepair, nullptr);
     ASSERT_EQ(net.activeFlowCount(),
               static_cast<std::size_t>(kPairs * kFlowsPerPair));
+    EXPECT_EQ(net.flowRate(longFlow), 25.0); // solves the setup
 
-    const int64_t before = visits.value.load();
+    // Solves are deferred to the clock advance, so every op reads a
+    // rate to force its own solve; otherwise the loop would run with
+    // no solve at all.
+    const int64_t visitsBefore = visits.value.load();
+    const int64_t solvesBefore = recomputes.value.load();
     constexpr int kOps = 100;
     for (int i = 0; i < kOps; ++i) {
         FlowId id = net.startFlow({up[0], down[0]}, 1e9,
                                   FlowTag::kForeground, nullptr);
+        EXPECT_EQ(net.flowRate(id), 20.0);
         net.cancelFlow(id);
+        EXPECT_EQ(net.currentTagRate(up[0], FlowTag::kForeground),
+                  0.0);
     }
-    const int64_t delta = visits.value.load() - before;
+    EXPECT_EQ(recomputes.value.load() - solvesBefore, 2 * kOps);
+    const int64_t delta = visits.value.load() - visitsBefore;
     // Each op re-solves one 5-flow component twice; a global solve
     // would visit all 128 flows per op. Require a hard sublinear
     // bound: well under one-quarter of global-visit cost.
     EXPECT_LE(delta, kOps * 2 * (kFlowsPerPair + 1));
     EXPECT_LT(delta,
               kOps * kPairs * kFlowsPerPair / 4);
+}
+
+TEST(SimIncremental, SameInstantChurnCostsOneSolve)
+{
+    // N starts and cancels at one instant: the incremental network
+    // defers them into exactly one solve at the clock advance; the
+    // reference network reads a rate after every op, forcing an
+    // eager global solve each time. Rates must agree bit-for-bit.
+    std::mt19937 rng(2024);
+    std::uniform_real_distribution<double> capDist(20.0, 150.0);
+    std::vector<Rate> caps;
+    for (int i = 0; i < 10; ++i)
+        caps.push_back(capDist(rng));
+    auto &recomputes =
+        telemetry::metrics().counter("sim.rate_recomputes");
+
+    Churn inc(/*reference=*/false, caps);
+    Churn ref(/*reference=*/true, caps);
+    std::vector<Op> ops;
+    for (int i = 0; i < 40; ++i) {
+        Op op;
+        op.at = 1.0;
+        op.kind = (i % 3 == 2) ? Op::kCancel : Op::kStart;
+        op.path = {static_cast<ResourceId>(i % 10),
+                   static_cast<ResourceId>((i * 7 + 3) % 10)};
+        if (op.path[0] == op.path[1])
+            op.path.pop_back();
+        op.size = 1000.0 + 37.0 * i;
+        op.victim = rng();
+        ops.push_back(std::move(op));
+    }
+    // Settle a first batch so the instant's churn re-rates live
+    // flows, then hit t=1 with the whole script (no flow can finish
+    // before then: the smallest needs over 6 s).
+    for (std::size_t i = 0; i < 10; ++i) {
+        Op first = ops[i];
+        first.at = 0.0;
+        first.kind = Op::kStart;
+        inc.apply(first);
+        ref.apply(first);
+    }
+    inc.drain(1.0);
+    ref.drain(1.0);
+
+    const int64_t before = recomputes.value.load();
+    for (const Op &op : ops)
+        inc.apply(op);
+    EXPECT_EQ(recomputes.value.load(), before)
+        << "a same-instant mutation solved eagerly";
+    inc.drain(1.0 + 1e-9);
+    EXPECT_EQ(recomputes.value.load(), before + 1);
+
+    for (const Op &op : ops) {
+        ref.apply(op);
+        if (!ref.live().empty())
+            ref.net().flowRate(ref.live().back());
+    }
+    ref.drain(1.0 + 1e-9);
+    expectIdentical(inc, ref);
+}
+
+/**
+ * Slice-pipelined chains: each chain sends `kSlices` slices one after
+ * another over a fixed path (slice s+1 starts in slice s's completion
+ * callback), under capacity steps. Everything is driven by events
+ * scheduled up front, so two instances can be run differently and
+ * compared.
+ */
+class Pipelines
+{
+  public:
+    static constexpr int kChains = 8;
+    static constexpr int kSlices = 12;
+
+    explicit Pipelines(uint32_t seed)
+    {
+        std::mt19937 rng(seed);
+        std::uniform_real_distribution<double> capDist(20.0, 150.0);
+        std::uniform_real_distribution<double> sizeDist(30.0, 400.0);
+        std::uniform_real_distribution<double> timeDist(0.0, 40.0);
+        constexpr int kResources = 10;
+        for (int i = 0; i < kResources; ++i)
+            net_.addResource("r" + std::to_string(i), capDist(rng));
+        for (int c = 0; c < kChains; ++c) {
+            std::vector<ResourceId> path;
+            while (path.size() < 2 + static_cast<std::size_t>(c % 2)) {
+                const auto r =
+                    static_cast<ResourceId>(rng() % kResources);
+                if (std::find(path.begin(), path.end(), r) ==
+                    path.end())
+                    path.push_back(r);
+            }
+            paths_.push_back(std::move(path));
+            sizes_.push_back(sizeDist(rng));
+        }
+        for (int c = 0; c < kChains; ++c)
+            startSlice(c, 0);
+        for (int i = 0; i < 12; ++i) {
+            const auto r = static_cast<ResourceId>(rng() % kResources);
+            const Rate cap = capDist(rng);
+            sim_.schedule(timeDist(rng),
+                          [this, r, cap] { net_.setCapacity(r, cap); });
+        }
+    }
+
+    /** Adds, at each of `times`, a flow over chain `chain`'s path
+     * that is cancelled at the same instant it starts. */
+    void addStartCancel(const std::vector<SimTime> &times, int chain)
+    {
+        for (SimTime t : times)
+            sim_.schedule(t, [this, chain] {
+                const FlowId id = net_.startFlow(
+                    paths_[static_cast<std::size_t>(chain)], 500.0,
+                    FlowTag::kForeground, nullptr);
+                net_.cancelFlow(id);
+            });
+    }
+
+    Simulator &sim() { return sim_; }
+    FlowNetwork &net() { return net_; }
+    /** (instant, chain * kSlices + slice) per finished slice. */
+    const std::vector<std::pair<SimTime, int>> &done() const
+    {
+        return done_;
+    }
+
+  private:
+    void startSlice(int chain, int slice)
+    {
+        if (slice == kSlices)
+            return;
+        const auto c = static_cast<std::size_t>(chain);
+        net_.startFlow(paths_[c], sizes_[c], FlowTag::kRepair,
+                       [this, chain, slice] {
+                           done_.push_back(
+                               {sim_.now(), chain * kSlices + slice});
+                           startSlice(chain, slice + 1);
+                       });
+    }
+
+    Simulator sim_;
+    FlowNetwork net_{sim_};
+    std::vector<std::vector<ResourceId>> paths_;
+    std::vector<Bytes> sizes_;
+    std::vector<std::pair<SimTime, int>> done_;
+};
+
+void
+expectSameBytes(FlowNetwork &a, FlowNetwork &b)
+{
+    ASSERT_EQ(a.resourceCount(), b.resourceCount());
+    for (std::size_t r = 0; r < a.resourceCount(); ++r)
+        for (int t = 0; t < kNumFlowTags; ++t) {
+            const auto rid = static_cast<ResourceId>(r);
+            const auto tag = static_cast<FlowTag>(t);
+            EXPECT_EQ(a.taggedBytes(rid, tag), b.taggedBytes(rid, tag))
+                << "resource " << r << " tag " << t;
+        }
+}
+
+TEST(SimIncremental, SameInstantStartCancelLeavesNoTrace)
+{
+    // A flow started and cancelled within one instant changes no
+    // rate across that instant, so it must not perturb any other
+    // flow: not its completion time, not a tagged byte.
+    for (uint32_t seed : {3u, 17u, 4242u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Pipelines plain(seed);
+        Pipelines churned(seed);
+        std::vector<SimTime> times;
+        for (int i = 1; i <= 60; ++i)
+            times.push_back(0.37 * i);
+        churned.addStartCancel(times, 0);
+        churned.addStartCancel(times, 3);
+        plain.sim().run();
+        churned.sim().run();
+        ASSERT_EQ(plain.done().size(),
+                  static_cast<std::size_t>(Pipelines::kChains *
+                                           Pipelines::kSlices));
+        EXPECT_EQ(plain.done(), churned.done());
+        expectSameBytes(plain.net(), churned.net());
+    }
+}
+
+TEST(SimIncremental, SteppedRunMatchesSingleRun)
+{
+    // Running to T in 0.1 s steps moves the clock through extra
+    // instants; the pre-advance solve must make that invisible.
+    for (uint32_t seed : {5u, 99u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Pipelines once(seed);
+        Pipelines stepped(seed);
+        const SimTime horizon = 400.0;
+        const std::size_t ran = once.sim().run(horizon);
+        std::size_t steppedRan = 0;
+        for (int i = 1; i <= 4000; ++i)
+            steppedRan += stepped.sim().run(0.1 * i);
+        EXPECT_EQ(stepped.sim().now(), once.sim().now());
+        EXPECT_EQ(ran, steppedRan);
+        EXPECT_EQ(once.sim().eventsExecuted(),
+                  stepped.sim().eventsExecuted());
+        ASSERT_EQ(once.done().size(),
+                  static_cast<std::size_t>(Pipelines::kChains *
+                                           Pipelines::kSlices));
+        EXPECT_EQ(once.done(), stepped.done());
+        expectSameBytes(once.net(), stepped.net());
+    }
+}
+
+TEST(SimIncremental, OnePreAdvanceHookPerSimulator)
+{
+    Simulator sim;
+    {
+        FlowNetwork net(sim);
+        EXPECT_DEATH(FlowNetwork second(sim), "pre-advance hook");
+    }
+    // The destroyed network unregistered its hook: a new one fits.
+    FlowNetwork again(sim);
+    const ResourceId r = again.addResource("r", 10.0);
+    bool done = false;
+    again.startFlow({r}, 5.0, FlowTag::kForeground,
+                    [&done] { done = true; });
+    sim.run();
+    EXPECT_TRUE(done);
+    EXPECT_EQ(sim.now(), 0.5);
 }
 
 TEST(SimIncremental, CapacityChangeOnStalledComponentResumes)

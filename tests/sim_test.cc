@@ -241,10 +241,14 @@ TEST_F(FlowNetworkTest, TaggedByteAccounting)
 
 TEST_F(FlowNetworkTest, WindowedUsagePerTag)
 {
-    FlowNetwork wnet(sim, 1.0); // 1-second windows
+    // The fixture's simulator already carries `net` (a simulator has
+    // one network: it owns the pre-advance hook), so the
+    // 1-second-window network gets its own.
+    Simulator wsim;
+    FlowNetwork wnet(wsim, 1.0); // 1-second windows
     ResourceId r = wnet.addResource("link", 100.0);
     wnet.startFlow({r}, 200.0, FlowTag::kForeground, nullptr);
-    sim.run();
+    wsim.run();
     const auto &usage = wnet.usage(r, FlowTag::kForeground);
     ASSERT_GE(usage.windowCount(), 2u);
     EXPECT_NEAR(usage.windowRate(0), 100.0, 1e-6);
@@ -280,14 +284,15 @@ TEST_F(FlowNetworkTest, ManyFlowsConvergeAndComplete)
 
 TEST_F(FlowNetworkTest, SyncIntegratesMidEvent)
 {
-    FlowNetwork wnet(sim, 1.0);
+    Simulator wsim;
+    FlowNetwork wnet(wsim, 1.0);
     ResourceId r = wnet.addResource("link", 100.0);
     wnet.startFlow({r}, 1000.0, FlowTag::kRepair, nullptr);
-    sim.schedule(3.0, [&] {
+    wsim.schedule(3.0, [&] {
         wnet.sync();
         EXPECT_NEAR(wnet.taggedBytes(r, FlowTag::kRepair), 300.0, 1e-6);
     });
-    sim.run(3.5);
+    wsim.run(3.5);
 }
 
 } // namespace
