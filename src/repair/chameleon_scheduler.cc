@@ -13,8 +13,8 @@ ChameleonScheduler::ChameleonScheduler(cluster::StripeManager &stripes,
                                        RepairExecutor &executor,
                                        BandwidthMonitor &monitor,
                                        ChameleonConfig config, Rng rng)
-    : stripes_(stripes), executor_(executor), monitor_(monitor),
-      config_(config), rng_(rng),
+    : RepairDriver(stripes, executor, "repair.chameleon"),
+      monitor_(monitor), config_(config), rng_(rng),
       metPhases_(
           telemetry::metrics().counter("repair.chameleon.phases")),
       metDispatches_(
@@ -34,47 +34,16 @@ ChameleonScheduler::ChameleonScheduler(cluster::StripeManager &stripes,
 }
 
 void
-ChameleonScheduler::start(std::vector<cluster::FailedChunk> pending)
-{
-    CHAMELEON_ASSERT(!started_, "scheduler already started");
-    started_ = true;
-    pending_.assign(pending.begin(), pending.end());
-    totalChunks_ = static_cast<int>(pending_.size());
-    auto &sim = executor_.cluster().simulator();
-    startTime_ = sim.now();
-    if (pending_.empty()) {
-        finishTime_ = startTime_;
-        return;
-    }
-    phaseLoopActive_ = true;
-    checkLoopActive_ = true;
-    runPhase();
-    sim.scheduleAfter(config_.checkPeriod, [this] { progressCheck(); });
-}
-
-void
-ChameleonScheduler::beginFeed()
-{
-    CHAMELEON_ASSERT(!started_, "scheduler already started");
-    started_ = true;
-    totalChunks_ = 0;
-    startTime_ = executor_.cluster().simulator().now();
-    finishTime_ = startTime_;
-}
-
-void
 ChameleonScheduler::enqueue(
     const std::vector<cluster::FailedChunk> &chunks)
 {
-    CHAMELEON_ASSERT(started_, "enqueue before scheduler start");
+    CHAMELEON_ASSERT(started(), "enqueue before scheduler start");
     if (chunks.empty())
         return;
-    for (const auto &fc : chunks) {
-        pending_.push_back(fc);
-        ++totalChunks_;
-    }
-    // Same event ordering as start(): the phase begins (and admits)
-    // before the progress-check timer is armed.
+    pending_.insert(pending_.end(), chunks.begin(), chunks.end());
+    noteQueued(chunks.size());
+    // The phase begins (and admits) before the progress-check timer
+    // is armed.
     if (!phaseLoopActive_) {
         phaseLoopActive_ = true;
         runPhase();
@@ -83,28 +52,9 @@ ChameleonScheduler::enqueue(
     }
     if (!checkLoopActive_) {
         checkLoopActive_ = true;
-        executor_.cluster().simulator().scheduleAfter(
-            config_.checkPeriod, [this] { progressCheck(); });
+        simulator().scheduleAfter(config_.checkPeriod,
+                                  [this] { progressCheck(); });
     }
-}
-
-bool
-ChameleonScheduler::finished() const
-{
-    return started_ &&
-           chunksRepaired_ + chunksUnrecoverable() == totalChunks_;
-}
-
-Rate
-ChameleonScheduler::throughput() const
-{
-    CHAMELEON_ASSERT(finished(), "repair not finished");
-    if (chunksRepaired_ == 0)
-        return 0.0;
-    SimTime span = finishTime_ - startTime_;
-    CHAMELEON_ASSERT(span > 0, "zero-length repair");
-    return static_cast<double>(chunksRepaired_) *
-           executor_.config().chunkSize / span;
 }
 
 std::vector<cluster::FailedChunk>
@@ -209,7 +159,7 @@ ChameleonScheduler::admitChunk(PlannerState &state,
     // the remaining phase (completions release budget, see
     // onChunkDone, so early finishes let more chunks in mid-phase).
     const SimTime budget =
-        phaseEnd_ - executor_.cluster().simulator().now();
+        phaseEnd_ - simulator().now();
     if (!force && planned->estimatedTime > budget) {
         state.taskUp = std::move(up_snapshot);
         state.taskDown = std::move(down_snapshot);
@@ -258,7 +208,7 @@ ChameleonScheduler::admitChunk(PlannerState &state,
     }
 
     reserved_[chunk.stripe].insert(plan.destination);
-    auto &sim = executor_.cluster().simulator();
+    auto &sim = simulator();
     SimTime now = sim.now();
     RepairId id = executor_.launch(
         plan,
@@ -301,7 +251,7 @@ ChameleonScheduler::runPhase()
     }
     ++phasesRun_;
     metPhases_.add();
-    auto &sim = executor_.cluster().simulator();
+    auto &sim = simulator();
     if (phaseSpanOpen_) {
         CHAMELEON_TELEM(telemetry::tracer().end(
             sim.now(), telemetry::kTrackScheduler));
@@ -406,7 +356,7 @@ ChameleonScheduler::admitPending()
             else
                 ++it;
         }
-        maybeFinish(executor_.cluster().simulator().now());
+        maybeFinish(simulator().now());
     } while (readmit_);
     admitting_ = false;
 }
@@ -418,7 +368,7 @@ ChameleonScheduler::progressCheck()
         checkLoopActive_ = false;
         return;
     }
-    auto &sim = executor_.cluster().simulator();
+    auto &sim = simulator();
     const SimTime now = sim.now();
     metChecks_.add();
 
@@ -607,26 +557,10 @@ ChameleonScheduler::sweepInactive()
 }
 
 void
-ChameleonScheduler::markUnrecoverable(const cluster::FailedChunk &chunk)
-{
-    unrecoverable_.push_back(chunk);
-    CHAMELEON_TELEM(telemetry::tracer().instant(
-        executor_.cluster().simulator().now(), telemetry::kTrackFault,
-        "fault", "unrecoverable",
-        {{"stripe", chunk.stripe}, {"chunk", chunk.chunk}}));
-    telemetry::metrics()
-        .counter("repair.chameleon.unrecoverable")
-        .add();
-    if (outcomeHook_)
-        outcomeHook_(chunk, false);
-}
-
-void
 ChameleonScheduler::maybeFinish(SimTime when)
 {
-    if (!finished())
+    if (!checkFinished(when))
         return;
-    finishTime_ = when;
     if (phaseSpanOpen_) {
         CHAMELEON_TELEM(telemetry::tracer().end(
             when, telemetry::kTrackScheduler));
@@ -634,7 +568,7 @@ ChameleonScheduler::maybeFinish(SimTime when)
     }
     CHAMELEON_TELEM(telemetry::tracer().instant(
         when, telemetry::kTrackScheduler, "repair", "finished",
-        {{"chunks", chunksRepaired_},
+        {{"chunks", chunksRepaired()},
          {"unrecoverable", chunksUnrecoverable()},
          {"phases", phasesRun_}}));
 }
@@ -644,7 +578,7 @@ ChameleonScheduler::maybeRestartLoops()
 {
     if (finished())
         return;
-    auto &sim = executor_.cluster().simulator();
+    auto &sim = simulator();
     if (!checkLoopActive_) {
         checkLoopActive_ = true;
         sim.scheduleAfter(config_.checkPeriod,
@@ -662,21 +596,12 @@ void
 ChameleonScheduler::onChunkDone(RepairId, const ChunkRepairPlan &plan,
                                 SimTime when)
 {
-    ++chunksRepaired_;
     releasePlanBudget(plan);
     stripes_.markRepaired(plan.stripe, plan.failedChunk);
     stripes_.relocate(plan.stripe, plan.failedChunk, plan.destination);
-    auto it = reserved_.find(plan.stripe);
-    if (it != reserved_.end()) {
-        it->second.erase(plan.destination);
-        if (it->second.empty())
-            reserved_.erase(it);
-    }
+    releaseReservation(plan.stripe, plan.destination);
     sweepInactive();
-    // Before the finished() check: the hook may admit queued work
-    // (via the scanner pump), which extends the run.
-    if (outcomeHook_)
-        outcomeHook_({plan.stripe, plan.failedChunk}, true);
+    noteRepaired({plan.stripe, plan.failedChunk});
     if (finished()) {
         maybeFinish(when);
         return;
@@ -688,18 +613,10 @@ void
 ChameleonScheduler::onChunkFailed(const ChunkRepairPlan &plan,
                                   NodeId cause, SimTime when)
 {
-    ++crashReplans_;
+    noteCrashReplan();
     releasePlanBudget(plan);
-    auto it = reserved_.find(plan.stripe);
-    if (it != reserved_.end()) {
-        it->second.erase(plan.destination);
-        if (it->second.empty())
-            reserved_.erase(it);
-    }
+    releaseReservation(plan.stripe, plan.destination);
     sweepInactive();
-    telemetry::metrics()
-        .counter("repair.chameleon.crash_replans")
-        .add();
 
     cluster::FailedChunk fc{plan.stripe, plan.failedChunk};
     CHAMELEON_ASSERT(stripes_.chunkLost(fc.stripe, fc.chunk),
@@ -713,7 +630,7 @@ ChameleonScheduler::onChunkFailed(const ChunkRepairPlan &plan,
     // Re-queue after a backoff so the burst of aborts from one
     // crash settles before replacement plans pick sources.
     ++retriesInAir_;
-    executor_.cluster().simulator().scheduleAfter(
+    simulator().scheduleAfter(
         config_.retryBackoff, [this, fc] {
             --retriesInAir_;
             pending_.push_back(fc);
@@ -728,14 +645,13 @@ void
 ChameleonScheduler::onNodeCrash(
     NodeId node, const std::vector<cluster::FailedChunk> &newly_lost)
 {
-    CHAMELEON_ASSERT(started_, "crash before scheduler start");
+    CHAMELEON_ASSERT(started(), "crash before scheduler start");
     // Abort doomed in-flight repairs first; each abort lands in
     // onChunkFailed and schedules its own re-plan.
     executor_.abortChunksTouching(node);
-    for (const auto &fc : newly_lost) {
-        pending_.push_back(fc);
-        ++totalChunks_;
-    }
+    pending_.insert(pending_.end(), newly_lost.begin(),
+                    newly_lost.end());
+    noteQueued(newly_lost.size());
     if (newly_lost.empty() && pending_.empty())
         return;
     maybeRestartLoops();

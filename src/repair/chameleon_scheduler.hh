@@ -21,9 +21,8 @@
 #include <set>
 #include <unordered_map>
 
-#include "cluster/stripe_manager.hh"
 #include "repair/chameleon_planner.hh"
-#include "repair/executor.hh"
+#include "repair/driver.hh"
 #include "repair/monitor.hh"
 #include "telemetry/metrics.hh"
 #include "util/rng.hh"
@@ -75,7 +74,7 @@ struct ChameleonConfig
 };
 
 /** The coordinator; see file comment. */
-class ChameleonScheduler
+class ChameleonScheduler : public RepairDriver
 {
   public:
     ChameleonScheduler(cluster::StripeManager &stripes,
@@ -83,28 +82,11 @@ class ChameleonScheduler
                        BandwidthMonitor &monitor, ChameleonConfig config,
                        Rng rng);
 
-    /** Terminal per-chunk outcome notification (feed mode): fired
-     * once per chunk, with repaired=true on success and false when
-     * the chunk lands in the unrecoverable list. */
-    using OutcomeFn = std::function<void(
-        const cluster::FailedChunk &, bool repaired)>;
-
-    /** Starts repairing `pending`; the first phase begins now. */
-    void start(std::vector<cluster::FailedChunk> pending);
-
-    /**
-     * Starts the scheduler with no work: chunks arrive later
-     * through enqueue() (the ReplicatorScanner admission path).
-     * Mutually exclusive with start().
-     */
-    void beginFeed();
-
-    /** Adds admitted chunks; restarts the phase/check loops with
-     * start()'s event ordering if they are not running. */
-    void enqueue(const std::vector<cluster::FailedChunk> &chunks);
-
-    /** Installs the terminal-outcome hook; call before work runs. */
-    void setOutcomeHook(OutcomeFn fn) { outcomeHook_ = std::move(fn); }
+    /** Adds admitted chunks. If the loops are not running, the
+     * phase begins (and admits) before the progress-check timer is
+     * armed. */
+    void enqueue(
+        const std::vector<cluster::FailedChunk> &chunks) override;
 
     /**
      * Absorbs a mid-repair node crash (stripe manager and cluster
@@ -114,22 +96,8 @@ class ChameleonScheduler
      */
     void onNodeCrash(NodeId node,
                      const std::vector<cluster::FailedChunk>
-                         &newly_lost);
+                         &newly_lost) override;
 
-    bool finished() const;
-    SimTime startTime() const { return startTime_; }
-    SimTime finishTime() const { return finishTime_; }
-    int chunksRepaired() const { return chunksRepaired_; }
-    int chunksUnrecoverable() const
-    {
-        return static_cast<int>(unrecoverable_.size());
-    }
-    const std::vector<cluster::FailedChunk> &unrecoverable() const
-    {
-        return unrecoverable_;
-    }
-    /** All chunks ever queued (initial failures + crash losses). */
-    int totalChunks() const { return totalChunks_; }
     /** Chunks waiting for admission (retry backoffs included). */
     int pendingCount() const
     {
@@ -139,14 +107,9 @@ class ChameleonScheduler
     {
         return static_cast<int>(activeIds_.size());
     }
-    /** Chunk repairs aborted by crashes and re-queued. */
-    int crashReplans() const { return crashReplans_; }
     int phasesRun() const { return phasesRun_; }
     int retunes() const { return retunes_; }
     int reorders() const { return reorders_; }
-
-    /** Repaired bytes per second over the whole run. */
-    Rate throughput() const;
 
   private:
     void runPhase();
@@ -158,7 +121,6 @@ class ChameleonScheduler
                      SimTime when);
     void onChunkFailed(const ChunkRepairPlan &plan, NodeId cause,
                        SimTime when);
-    void markUnrecoverable(const cluster::FailedChunk &chunk);
     /** Credits a departed plan's tasks back to the phase budget. */
     void releasePlanBudget(const ChunkRepairPlan &plan);
     /** Drops completed ids from the active set and its side maps. */
@@ -178,12 +140,9 @@ class ChameleonScheduler
                          bool force);
     std::vector<cluster::FailedChunk> orderedPending() const;
 
-    cluster::StripeManager &stripes_;
-    RepairExecutor &executor_;
     BandwidthMonitor &monitor_;
     ChameleonConfig config_;
     Rng rng_;
-    OutcomeFn outcomeHook_;
 
     std::deque<cluster::FailedChunk> pending_;
     /** Dispatcher state of the current phase (counts + estimates). */
@@ -196,7 +155,6 @@ class ChameleonScheduler
     /** Per-edge delivered counts at the previous progress check,
      * used to detect zero-progress (crawling) transmissions. */
     std::map<RepairId, std::vector<int>> lastDelivered_;
-    std::map<StripeId, std::set<NodeId>> reserved_;
 
     /** Metric handles (see telemetry/metrics.hh). */
     telemetry::Counter &metPhases_;
@@ -208,19 +166,12 @@ class ChameleonScheduler
     /** True while a phase span is open on the scheduler track. */
     bool phaseSpanOpen_ = false;
 
-    bool started_ = false;
-    SimTime startTime_ = 0.0;
-    SimTime finishTime_ = kTimeNever;
-    int totalChunks_ = 0;
-    int chunksRepaired_ = 0;
     int phasesRun_ = 0;
     int retunes_ = 0;
     int reorders_ = 0;
-    std::vector<cluster::FailedChunk> unrecoverable_;
     /** Crash-abort counts per chunk, against maxRetries. */
     std::map<std::pair<StripeId, ChunkIndex>, int> retries_;
     int retriesInAir_ = 0;
-    int crashReplans_ = 0;
     /** True while the self-rescheduling loops are alive; they stop
      * when the scheduler finishes and a crash may restart them. */
     bool phaseLoopActive_ = false;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "repair/dag_bridge.hh"
-#include "telemetry/telemetry.hh"
 #include "util/logging.hh"
 
 namespace chameleon {
@@ -12,7 +11,7 @@ namespace repair {
 RepairSession::RepairSession(cluster::StripeManager &stripes,
                              RepairExecutor &executor, PlanFn plan_fn,
                              SessionConfig config)
-    : stripes_(stripes), executor_(executor),
+    : RepairDriver(stripes, executor, "repair.session"),
       planFn_(std::move(plan_fn)), config_(config)
 {
     CHAMELEON_ASSERT(config_.maxInFlight >= 1,
@@ -24,55 +23,21 @@ RepairSession::RepairSession(cluster::StripeManager &stripes,
 void
 RepairSession::setDagTopology(const dag::TopologySpec &spec)
 {
-    CHAMELEON_ASSERT(!started_,
+    CHAMELEON_ASSERT(!started(),
                      "topology override after session start");
     topology_ = spec;
-}
-
-void
-RepairSession::start(std::vector<cluster::FailedChunk> pending)
-{
-    CHAMELEON_ASSERT(!started_, "session already started");
-    started_ = true;
-    pending_.assign(pending.begin(), pending.end());
-    totalChunks_ = static_cast<int>(pending_.size());
-    startTime_ = executor_.cluster().simulator().now();
-    if (pending_.empty()) {
-        finishTime_ = startTime_;
-        return;
-    }
-    pump();
-}
-
-void
-RepairSession::beginFeed()
-{
-    CHAMELEON_ASSERT(!started_, "session already started");
-    started_ = true;
-    totalChunks_ = 0;
-    startTime_ = executor_.cluster().simulator().now();
-    finishTime_ = startTime_;
 }
 
 void
 RepairSession::enqueue(
     const std::vector<cluster::FailedChunk> &chunks)
 {
-    CHAMELEON_ASSERT(started_, "enqueue before session start");
+    CHAMELEON_ASSERT(started(), "enqueue before session start");
     if (chunks.empty())
         return;
-    for (const auto &fc : chunks) {
-        pending_.push_back(fc);
-        ++totalChunks_;
-    }
+    pending_.insert(pending_.end(), chunks.begin(), chunks.end());
+    noteQueued(chunks.size());
     pump();
-}
-
-bool
-RepairSession::finished() const
-{
-    return started_ &&
-           chunksRepaired_ + chunksUnrecoverable() == totalChunks_;
 }
 
 int
@@ -82,42 +47,6 @@ RepairSession::pendingCount() const
            retriesInAir_;
 }
 
-Rate
-RepairSession::throughput() const
-{
-    CHAMELEON_ASSERT(finished(), "session not finished");
-    if (chunksRepaired_ == 0)
-        return 0.0;
-    SimTime span = finishTime_ - startTime_;
-    CHAMELEON_ASSERT(span > 0, "zero-length session");
-    return static_cast<double>(chunksRepaired_) *
-           executor_.config().chunkSize / span;
-}
-
-void
-RepairSession::markUnrecoverable(const cluster::FailedChunk &chunk)
-{
-    unrecoverable_.push_back(chunk);
-    CHAMELEON_TELEM(telemetry::tracer().instant(
-        executor_.cluster().simulator().now(), telemetry::kTrackFault,
-        "fault", "unrecoverable",
-        {{"stripe", chunk.stripe}, {"chunk", chunk.chunk}}));
-    telemetry::metrics().counter("repair.session.unrecoverable").add();
-    if (outcomeHook_)
-        outcomeHook_(chunk, false);
-}
-
-void
-RepairSession::releaseReservation(StripeId stripe, NodeId destination)
-{
-    auto it = reserved_.find(stripe);
-    if (it == reserved_.end())
-        return;
-    it->second.erase(destination);
-    if (it->second.empty())
-        reserved_.erase(it);
-}
-
 void
 RepairSession::requeueDeferred()
 {
@@ -125,13 +54,6 @@ RepairSession::requeueDeferred()
         pending_.push_back(deferred_.front());
         deferred_.pop_front();
     }
-}
-
-void
-RepairSession::checkFinished(SimTime when)
-{
-    if (finished())
-        finishTime_ = when;
 }
 
 void
@@ -193,25 +115,19 @@ RepairSession::pump()
                              std::move(on_fail));
         }
     }
-    checkFinished(executor_.cluster().simulator().now());
+    checkFinished(simulator().now());
 }
 
 void
 RepairSession::onChunkDone(const ChunkRepairPlan &plan, SimTime when)
 {
     --inFlight_;
-    ++chunksRepaired_;
     stripes_.markRepaired(plan.stripe, plan.failedChunk);
     stripes_.relocate(plan.stripe, plan.failedChunk, plan.destination);
     releaseReservation(plan.stripe, plan.destination);
-    // Before the finished() check: the hook may admit queued work
-    // (via the scanner pump), which extends the session.
-    if (outcomeHook_)
-        outcomeHook_({plan.stripe, plan.failedChunk}, true);
-    if (finished()) {
-        finishTime_ = when;
+    noteRepaired({plan.stripe, plan.failedChunk});
+    if (checkFinished(when))
         return;
-    }
     // A completion frees a destination: parked chunks get another
     // shot at planning.
     requeueDeferred();
@@ -223,9 +139,8 @@ RepairSession::onChunkFailed(const ChunkRepairPlan &plan, NodeId cause,
                              SimTime when)
 {
     --inFlight_;
-    ++crashReplans_;
+    noteCrashReplan();
     releaseReservation(plan.stripe, plan.destination);
-    telemetry::metrics().counter("repair.session.crash_replans").add();
 
     cluster::FailedChunk fc{plan.stripe, plan.failedChunk};
     CHAMELEON_ASSERT(stripes_.chunkLost(fc.stripe, fc.chunk),
@@ -239,7 +154,7 @@ RepairSession::onChunkFailed(const ChunkRepairPlan &plan, NodeId cause,
     // Re-plan after a backoff so the burst of aborts from one crash
     // settles before replacement plans pick sources.
     ++retriesInAir_;
-    executor_.cluster().simulator().scheduleAfter(
+    simulator().scheduleAfter(
         config_.retryBackoff, [this, fc] {
             --retriesInAir_;
             pending_.push_back(fc);
@@ -252,14 +167,13 @@ void
 RepairSession::onNodeCrash(
     NodeId node, const std::vector<cluster::FailedChunk> &newly_lost)
 {
-    CHAMELEON_ASSERT(started_, "crash before session start");
+    CHAMELEON_ASSERT(started(), "crash before session start");
     // Abort doomed in-flight repairs first; each abort lands in
     // onChunkFailed and schedules its own re-plan.
     executor_.abortChunksTouching(node);
-    for (const auto &fc : newly_lost) {
-        pending_.push_back(fc);
-        ++totalChunks_;
-    }
+    pending_.insert(pending_.end(), newly_lost.begin(),
+                    newly_lost.end());
+    noteQueued(newly_lost.size());
     // Stripe geometry changed: parked chunks may be plannable now
     // (or newly unrecoverable — pump sorts them).
     requeueDeferred();

@@ -21,10 +21,8 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <set>
 
-#include "cluster/stripe_manager.hh"
-#include "repair/executor.hh"
+#include "repair/driver.hh"
 
 namespace chameleon {
 namespace repair {
@@ -51,7 +49,7 @@ struct SessionConfig
 };
 
 /** Windowed baseline repair runner; see file comment. */
-class RepairSession
+class RepairSession : public RepairDriver
 {
   public:
     /**
@@ -62,12 +60,6 @@ class RepairSession
     using PlanFn = std::function<ChunkRepairPlan(
         const cluster::FailedChunk &,
         const std::vector<NodeId> &reserved)>;
-
-    /** Terminal per-chunk outcome notification (feed mode): fired
-     * once per chunk, with repaired=true on success and false when
-     * the chunk lands in the unrecoverable list. */
-    using OutcomeFn = std::function<void(
-        const cluster::FailedChunk &, bool repaired)>;
 
     RepairSession(cluster::StripeManager &stripes,
                   RepairExecutor &executor, PlanFn plan_fn,
@@ -86,76 +78,26 @@ class RepairSession
 
     const dag::TopologySpec &dagTopology() const { return topology_; }
 
-    /** Begins repairing `pending` (FIFO order). */
-    void start(std::vector<cluster::FailedChunk> pending);
-
-    /**
-     * Starts the session with no work: chunks arrive later through
-     * enqueue() (the ReplicatorScanner admission path). Mutually
-     * exclusive with start().
-     */
-    void beginFeed();
-
-    /** Adds admitted chunks to the repair window (feed mode or
-     * after start()); plans and launches immediately. */
-    void enqueue(const std::vector<cluster::FailedChunk> &chunks);
-
-    /** Installs the terminal-outcome hook; call before work runs. */
-    void setOutcomeHook(OutcomeFn fn) { outcomeHook_ = std::move(fn); }
-
-    /**
-     * Absorbs a mid-repair node crash. Call after the stripe manager
-     * and cluster already marked the node dead: aborts in-flight
-     * repairs touching it (they re-plan after the retry backoff) and
-     * queues `newly_lost`, the chunks the crash destroyed.
-     */
+    void enqueue(
+        const std::vector<cluster::FailedChunk> &chunks) override;
     void onNodeCrash(NodeId node,
                      const std::vector<cluster::FailedChunk>
-                         &newly_lost);
+                         &newly_lost) override;
 
-    /** True once every chunk is repaired or unrecoverable. A later
-     * crash can add work and make a finished session active again. */
-    bool finished() const;
-
-    SimTime startTime() const { return startTime_; }
-    SimTime finishTime() const { return finishTime_; }
-
-    int chunksRepaired() const { return chunksRepaired_; }
-    int chunksUnrecoverable() const
-    {
-        return static_cast<int>(unrecoverable_.size());
-    }
-    const std::vector<cluster::FailedChunk> &unrecoverable() const
-    {
-        return unrecoverable_;
-    }
-    /** All chunks ever queued (initial failures + crash losses). */
-    int totalChunks() const { return totalChunks_; }
     /** Chunks waiting to be planned (deferred + backoff included). */
     int pendingCount() const;
     int inFlightCount() const { return inFlight_; }
-    /** Chunk repairs aborted by crashes and re-queued. */
-    int crashReplans() const { return crashReplans_; }
-
-    /** Repaired bytes per second over the whole session. */
-    Rate throughput() const;
 
   private:
     void pump();
     void onChunkDone(const ChunkRepairPlan &plan, SimTime when);
     void onChunkFailed(const ChunkRepairPlan &plan, NodeId cause,
                        SimTime when);
-    void markUnrecoverable(const cluster::FailedChunk &chunk);
-    void releaseReservation(StripeId stripe, NodeId destination);
     /** Moves deferred chunks back into the queue (destinations or
      * helpers may have changed). */
     void requeueDeferred();
-    void checkFinished(SimTime when);
 
-    cluster::StripeManager &stripes_;
-    RepairExecutor &executor_;
     PlanFn planFn_;
-    OutcomeFn outcomeHook_;
     SessionConfig config_;
     /** Execution-topology override; kAuto = native tree path. */
     dag::TopologySpec topology_;
@@ -163,20 +105,11 @@ class RepairSession
     /** Chunks that currently cannot be planned (no free destination);
      * retried when a repair completes or the cluster changes. */
     std::deque<cluster::FailedChunk> deferred_;
-    std::vector<cluster::FailedChunk> unrecoverable_;
     /** Crash-abort counts per chunk, against maxRetries. */
     std::map<std::pair<StripeId, ChunkIndex>, int> retries_;
     int inFlight_ = 0;
     /** Chunks whose retry backoff timer is pending. */
     int retriesInAir_ = 0;
-    int chunksRepaired_ = 0;
-    int totalChunks_ = 0;
-    int crashReplans_ = 0;
-    SimTime startTime_ = 0.0;
-    SimTime finishTime_ = kTimeNever;
-    /** Destinations claimed by in-flight repairs, per stripe. */
-    std::map<StripeId, std::set<NodeId>> reserved_;
-    bool started_ = false;
 };
 
 } // namespace repair

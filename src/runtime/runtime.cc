@@ -233,11 +233,12 @@ Runtime::run(const ExperimentHooks &hooks)
         scrub = std::make_unique<cluster::ScrubScanner>(
             cluster, stripes, config.exec.chunkSize, config.scrub);
 
-    // Launch the repair machinery.
-    std::unique_ptr<repair::RepairSession> session;
-    std::unique_ptr<repair::ChameleonScheduler> scheduler;
+    // Launch the repair machinery: one driver, whichever policy.
+    // The typed pointers read policy-specific result fields.
+    std::unique_ptr<repair::RepairDriver> repairer;
+    repair::ChameleonScheduler *scheduler = nullptr;
+    traffic::HedgedReadManager *hedged = nullptr;
     std::unique_ptr<repair::RepairBoostSelector> rb;
-    std::unique_ptr<traffic::HedgedReadManager> hedged;
     if (algorithm == Algorithm::kNone) {
         // trace-only run
     } else if (config.degraded.enabled) {
@@ -245,9 +246,6 @@ Runtime::run(const ExperimentHooks &hooks)
                          "degraded.enabled does not apply to ",
                          algorithmName(algorithm),
                          ": the Chameleon dispatcher owns its plans");
-        CHAMELEON_ASSERT(!scan_mode, "degraded reads are driven by an "
-                                     "eager work list, not the "
-                                     "scanner path");
         CHAMELEON_ASSERT(!config.scrub.enabled,
                          "degraded reads do not route scrub repairs");
         CHAMELEON_ASSERT(
@@ -258,9 +256,10 @@ Runtime::run(const ExperimentHooks &hooks)
         // so the fault injector's stream stays aligned with a
         // same-seed session run.
         (void)rng.split();
-        hedged = std::make_unique<traffic::HedgedReadManager>(
+        auto manager = std::make_unique<traffic::HedgedReadManager>(
             stripes, executor, monitor, config.degraded);
-        hedged->start(pending);
+        hedged = manager.get();
+        repairer = std::move(manager);
     } else if (isChameleonFamily(algorithm)) {
         CHAMELEON_ASSERT(
             config.topology.kind == dag::RepairTopology::kAuto,
@@ -272,30 +271,10 @@ Runtime::run(const ExperimentHooks &hooks)
             ccfg.enableReordering = false;
             ccfg.enableRetuning = false;
         }
-        scheduler = std::make_unique<repair::ChameleonScheduler>(
+        auto sched = std::make_unique<repair::ChameleonScheduler>(
             stripes, executor, monitor, ccfg, rng.split());
-        if (scan_mode) {
-            scheduler->beginFeed();
-            scanner->setDispatch(
-                [sch = scheduler.get()](
-                    std::vector<cluster::FailedChunk> chunks) {
-                    sch->enqueue(chunks);
-                });
-            scheduler->setOutcomeHook(
-                [sc = scanner.get(), sb = scrub.get()](
-                    const cluster::FailedChunk &fc, bool ok) {
-                    sc->onChunkOutcome(fc, ok);
-                    if (sb)
-                        sb->noteOutcome(fc, ok);
-                });
-            // One synchronous sweep at the exact point the direct
-            // path would hand over its work list keeps small-scale
-            // scanner runs byte-identical to direct runs.
-            scanner->primeSync();
-            scanner->start();
-        } else {
-            scheduler->start(pending);
-        }
+        scheduler = sched.get();
+        repairer = std::move(sched);
     } else {
         repair::Topology topo = topologyOf(algorithm);
         Rng plan_rng = rng.split();
@@ -316,60 +295,57 @@ Runtime::run(const ExperimentHooks &hooks)
                                                 reserved, plan_rng);
             };
         }
-        session = std::make_unique<repair::RepairSession>(
+        auto session = std::make_unique<repair::RepairSession>(
             stripes, executor, std::move(plan_fn), config.session);
         if (config.topology.kind != dag::RepairTopology::kAuto)
             session->setDagTopology(config.topology);
-        if (scan_mode) {
-            session->beginFeed();
-            scanner->setDispatch(
-                [se = session.get()](
-                    std::vector<cluster::FailedChunk> chunks) {
-                    se->enqueue(chunks);
-                });
-            session->setOutcomeHook(
-                [sc = scanner.get(), sb = scrub.get()](
-                    const cluster::FailedChunk &fc, bool ok) {
+        repairer = std::move(session);
+    }
+
+    if (repairer) {
+        // Terminal outcomes close the scanner's queue jobs and the
+        // scrub scanner's pending detections.
+        repairer->setOutcomeHook(
+            [sc = scanner.get(), sb = scrub.get()](
+                const cluster::FailedChunk &fc, bool ok) {
+                if (sc)
                     sc->onChunkOutcome(fc, ok);
-                    if (sb)
-                        sb->noteOutcome(fc, ok);
+                if (sb)
+                    sb->noteOutcome(fc, ok);
+            });
+        if (scan_mode) {
+            scanner->setDispatch(
+                [r = repairer.get()](
+                    std::vector<cluster::FailedChunk> chunks) {
+                    r->enqueue(chunks);
                 });
+            repairer->start();
+            // One synchronous sweep at the exact point the direct
+            // path would hand over its work list keeps small-scale
+            // scanner runs byte-identical to direct runs.
             scanner->primeSync();
             scanner->start();
         } else {
-            session->start(pending);
+            repairer->start(pending);
         }
     }
 
     if (scrub) {
-        // Direct-path runs have no scanner outcome hook to chain
-        // behind; install the scrub bookkeeping as the sole hook.
-        if (!scan_mode) {
-            auto outcome = [sb = scrub.get()](
-                               const cluster::FailedChunk &fc,
-                               bool ok) { sb->noteOutcome(fc, ok); };
-            if (scheduler)
-                scheduler->setOutcomeHook(outcome);
-            else if (session)
-                session->setOutcomeHook(outcome);
-        }
         // Detected corruptions enter repair through the same door as
         // discovered losses: the prioritized queue on the scanner
         // path, the live feed otherwise. Deferred — detection can
         // fire from the executor's verify hooks inside flow
         // dispatch, where launching repairs must not re-enter.
-        scrub->setOnDetected([&sim, &queue, &scanner, &scheduler,
-                              &session, scan_mode](
+        scrub->setOnDetected([&sim, &queue, &scanner,
+                              r = repairer.get()](
                                  cluster::FailedChunk fc,
                                  cluster::RepairTier tier) {
             sim.scheduleAfter(0.0, [&, fc, tier] {
-                if (scan_mode) {
+                if (scanner) {
                     queue->push(fc, tier);
                     scanner->pumpAdmission();
-                } else if (scheduler) {
-                    scheduler->enqueue({fc});
-                } else if (session) {
-                    session->enqueue({fc});
+                } else {
+                    r->enqueue({fc});
                 }
             });
         });
@@ -455,12 +431,8 @@ Runtime::run(const ExperimentHooks &hooks)
                     const std::vector<cluster::FailedChunk> &lost) {
                     if (driver)
                         driver->excludeNode(node);
-                    if (scheduler)
-                        scheduler->onNodeCrash(node, lost);
-                    else if (hedged)
-                        hedged->onNodeCrash(node, lost);
-                    else if (session)
-                        session->onNodeCrash(node, lost);
+                    if (repairer)
+                        repairer->onNodeCrash(node, lost);
                     if (scanner)
                         scanner->noteCrash(node);
                 };
@@ -491,9 +463,7 @@ Runtime::run(const ExperimentHooks &hooks)
     auto repair_done = [&] {
         if (algorithm == Algorithm::kNone)
             return true;
-        const bool done = scheduler ? scheduler->finished()
-                          : hedged  ? hedged->finished()
-                                    : session->finished();
+        const bool done = repairer->finished();
         // With scrubbing on, the repair layer idling is not enough
         // either: every injected corruption must have been surfaced
         // and re-repaired (bounded by one scrub epoch), or claimed
@@ -516,7 +486,6 @@ Runtime::run(const ExperimentHooks &hooks)
     ExperimentResult result;
     result.algorithm = algorithm;
     SimTime repair_finish = repair_start;
-    std::size_t lat_end = lat_start;
     bool repair_seen_done = (algorithm == Algorithm::kNone);
     auto uplink_repair_bytes = [&] {
         net.sync();
@@ -540,10 +509,7 @@ Runtime::run(const ExperimentHooks &hooks)
         traffic_before = traffic_now;
         if (!repair_seen_done && repair_done()) {
             repair_seen_done = true;
-            repair_finish = scheduler ? scheduler->finishTime()
-                            : hedged  ? hedged->finishTime()
-                                      : session->finishTime();
-            lat_end = driver ? driver->latencies().count() : 0;
+            repair_finish = repairer->finishTime();
         }
         if (hooks.onSample)
             hooks.onSample(sim.now(), driver.get());
@@ -554,10 +520,7 @@ Runtime::run(const ExperimentHooks &hooks)
     }
     if (algorithm != Algorithm::kNone && repair_done() &&
         !repair_seen_done) {
-        repair_finish = scheduler ? scheduler->finishTime()
-                        : hedged  ? hedged->finishTime()
-                                  : session->finishTime();
-        lat_end = driver ? driver->latencies().count() : 0;
+        repair_finish = repairer->finishTime();
     }
 
     // Capture end-of-window byte counters before draining.
@@ -590,17 +553,9 @@ Runtime::run(const ExperimentHooks &hooks)
 
     // ---- Metrics.
     if (algorithm != Algorithm::kNone && repair_done()) {
-        result.chunksRepaired = scheduler
-                                    ? scheduler->chunksRepaired()
-                                : hedged ? hedged->chunksRepaired()
-                                         : session->chunksRepaired();
-        result.chunksUnrecoverable =
-            scheduler ? scheduler->chunksUnrecoverable()
-            : hedged  ? hedged->chunksUnrecoverable()
-                      : session->chunksUnrecoverable();
-        result.crashReplans = scheduler ? scheduler->crashReplans()
-                              : hedged  ? hedged->crashReplans()
-                                        : session->crashReplans();
+        result.chunksRepaired = repairer->chunksRepaired();
+        result.chunksUnrecoverable = repairer->chunksUnrecoverable();
+        result.crashReplans = repairer->crashReplans();
         result.repairTime = repair_finish - repair_start;
         if (result.chunksRepaired > 0) {
             CHAMELEON_ASSERT(result.repairTime > 0,
@@ -641,7 +596,6 @@ Runtime::run(const ExperimentHooks &hooks)
         std::size_t from = lat_start;
         if (algorithm == Algorithm::kNone)
             from = 0;
-        (void)lat_end;
         result.latency = lat.summaryFrom(from);
         result.p99LatencyMs = result.latency.p99 * 1e3;
         result.meanLatencyMs = result.latency.mean * 1e3;

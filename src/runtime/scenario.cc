@@ -697,10 +697,6 @@ ScenarioSpec::fromJson(const std::string &text, std::string *error)
                         "algorithms (cr|ppr|ecpipe|rb-*); '" +
                         algorithmKey(spec.algorithm) +
                         "' owns its own plans");
-        if (spec.scanner.enabled)
-            return fail("degraded.enabled is incompatible with "
-                        "scanner.enabled (degraded reads are driven "
-                        "by an eager work list)");
         if (spec.scrub.enabled)
             return fail("degraded.enabled is incompatible with "
                         "scrub.enabled (degraded reads do not route "

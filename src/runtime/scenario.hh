@@ -72,7 +72,7 @@ struct ScenarioSpec
     /** Hedged degraded-read policy (the "degraded" JSON block);
      * degraded.enabled routes repairs through the hedged-read
      * manager — session algorithms only, rejected for the Chameleon
-     * family and kNone, and incompatible with scanner/scrub/topology
+     * family and kNone, and incompatible with scrub and topology
      * overrides (fromJson enforces all of it). */
     traffic::HedgedReadConfig degraded;
     uint64_t seed = 1;

@@ -11,7 +11,7 @@ namespace traffic {
 HedgedReadManager::HedgedReadManager(
     cluster::StripeManager &stripes, repair::RepairExecutor &executor,
     const repair::BandwidthMonitor &monitor, HedgedReadConfig config)
-    : stripes_(stripes), executor_(executor), monitor_(monitor),
+    : RepairDriver(stripes, executor, "degraded"), monitor_(monitor),
       config_(config)
 {
     CHAMELEON_ASSERT(config_.maxInFlight >= 1,
@@ -22,55 +22,16 @@ HedgedReadManager::HedgedReadManager(
     CHAMELEON_ASSERT(config_.maxRetries >= 0, "negative retry budget");
 }
 
-sim::Simulator &
-HedgedReadManager::simulator() const
-{
-    return executor_.cluster().simulator();
-}
-
 void
-HedgedReadManager::start(std::vector<cluster::FailedChunk> pending)
+HedgedReadManager::enqueue(
+    const std::vector<cluster::FailedChunk> &chunks)
 {
-    CHAMELEON_ASSERT(!started_, "manager already started");
-    started_ = true;
-    pending_.assign(pending.begin(), pending.end());
-    totalChunks_ = static_cast<int>(pending_.size());
-    startTime_ = simulator().now();
-    if (pending_.empty()) {
-        finishTime_ = startTime_;
+    CHAMELEON_ASSERT(started(), "enqueue before manager start");
+    if (chunks.empty())
         return;
-    }
+    pending_.insert(pending_.end(), chunks.begin(), chunks.end());
+    noteQueued(chunks.size());
     pump();
-}
-
-bool
-HedgedReadManager::finished() const
-{
-    return started_ &&
-           chunksRepaired_ + chunksUnrecoverable() == totalChunks_;
-}
-
-void
-HedgedReadManager::markUnrecoverable(const cluster::FailedChunk &fc)
-{
-    unrecoverable_.push_back(fc);
-    CHAMELEON_TELEM(telemetry::tracer().instant(
-        simulator().now(), telemetry::kTrackFault, "fault",
-        "unrecoverable",
-        {{"stripe", fc.stripe}, {"chunk", fc.chunk}}));
-    telemetry::metrics().counter("degraded.unrecoverable").add();
-}
-
-void
-HedgedReadManager::releaseReservation(StripeId stripe,
-                                      NodeId destination)
-{
-    auto it = reserved_.find(stripe);
-    if (it == reserved_.end())
-        return;
-    it->second.erase(destination);
-    if (it->second.empty())
-        reserved_.erase(it);
 }
 
 void
@@ -80,13 +41,6 @@ HedgedReadManager::requeueDeferred()
         pending_.push_back(deferred_.front());
         deferred_.pop_front();
     }
-}
-
-void
-HedgedReadManager::checkFinished(SimTime when)
-{
-    if (finished())
-        finishTime_ = when;
 }
 
 void
@@ -341,17 +295,15 @@ HedgedReadManager::onAttemptDone(const repair::ChunkRepairPlan &plan,
     releaseReservation(plan.stripe, plan.destination);
     stripes_.markRepaired(plan.stripe, plan.failedChunk);
     stripes_.relocate(plan.stripe, plan.failedChunk, plan.destination);
-    ++chunksRepaired_;
     if (hedge_won) {
         ++hedgeWins_;
         telemetry::metrics().counter("degraded.hedge_wins").add();
     }
     latencies_.record(when - read.issued);
     active_.erase(it);
-    if (finished()) {
-        finishTime_ = when;
+    noteRepaired({plan.stripe, plan.failedChunk});
+    if (checkFinished(when))
         return;
-    }
     requeueDeferred();
     pump();
 }
@@ -382,8 +334,7 @@ HedgedReadManager::onAttemptFailed(const repair::ChunkRepairPlan &plan,
         read.hedge.id != repair::kInvalidRepair)
         return;
 
-    ++crashReplans_;
-    telemetry::metrics().counter("degraded.crash_replans").add();
+    noteCrashReplan();
     ++read.generation; // kill stale hedge timers
     ++read.retries;
     if (read.retries > config_.maxRetries) {
@@ -424,15 +375,14 @@ void
 HedgedReadManager::onNodeCrash(
     NodeId node, const std::vector<cluster::FailedChunk> &newly_lost)
 {
-    CHAMELEON_ASSERT(started_, "crash before manager start");
+    CHAMELEON_ASSERT(started(), "crash before manager start");
     // Abort doomed in-flight attempts first; each abort lands in
     // onAttemptFailed, which re-plans or lets a surviving sibling
     // attempt race on.
     executor_.abortChunksTouching(node);
-    for (const auto &fc : newly_lost) {
-        pending_.push_back(fc);
-        ++totalChunks_;
-    }
+    pending_.insert(pending_.end(), newly_lost.begin(),
+                    newly_lost.end());
+    noteQueued(newly_lost.size());
     requeueDeferred();
     pump();
 }

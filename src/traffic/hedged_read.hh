@@ -20,10 +20,10 @@
  *      RepairExecutor::cancel() — a scheduling decision, not a
  *      failure, so no abort metric or failure callback fires.
  *
- * The manager mirrors RepairSession's lifecycle surface (start /
- * onNodeCrash / finished / counters) so the runtime can swap it in
- * as the repair layer for degraded-read experiments; the scenario
- * knobs live under "degraded" (see runtime/scenario.hh).
+ * The manager is a repair::RepairDriver (start / enqueue /
+ * onNodeCrash / outcome hook / counters), so the runtime wires it
+ * exactly like the other drivers, scanner path included; the
+ * scenario knobs live under "degraded" (see runtime/scenario.hh).
  */
 
 #ifndef CHAMELEON_TRAFFIC_HEDGED_READ_HH_
@@ -31,10 +31,8 @@
 
 #include <deque>
 #include <map>
-#include <set>
 
-#include "cluster/stripe_manager.hh"
-#include "repair/executor.hh"
+#include "repair/driver.hh"
 #include "repair/monitor.hh"
 #include "util/stats.hh"
 
@@ -67,7 +65,7 @@ struct HedgedReadConfig
 };
 
 /** Windowed hedged degraded-read runner; see file comment. */
-class HedgedReadManager
+class HedgedReadManager : public repair::RepairDriver
 {
   public:
     HedgedReadManager(cluster::StripeManager &stripes,
@@ -75,30 +73,17 @@ class HedgedReadManager
                       const repair::BandwidthMonitor &monitor,
                       HedgedReadConfig config);
 
-    /** Begins reading `pending` (FIFO order). */
-    void start(std::vector<cluster::FailedChunk> pending);
+    /** Queues reads; issues them as the in-flight window allows. */
+    void enqueue(
+        const std::vector<cluster::FailedChunk> &chunks) override;
 
     /**
-     * Absorbs a mid-run node crash (same contract as
-     * RepairSession::onNodeCrash): aborts attempts touching the dead
-     * node and queues the chunks it destroyed.
+     * Absorbs a mid-run node crash: aborts attempts touching the
+     * dead node and queues the chunks it destroyed.
      */
     void onNodeCrash(NodeId node,
                      const std::vector<cluster::FailedChunk>
-                         &newly_lost);
-
-    /** True once every read completed or became unrecoverable. */
-    bool finished() const;
-
-    SimTime startTime() const { return startTime_; }
-    SimTime finishTime() const { return finishTime_; }
-
-    int chunksRepaired() const { return chunksRepaired_; }
-    int chunksUnrecoverable() const
-    {
-        return static_cast<int>(unrecoverable_.size());
-    }
-    int crashReplans() const { return crashReplans_; }
+                         &newly_lost) override;
 
     /** Hedged attempts launched / won against their primary. */
     int hedgesIssued() const { return hedgesIssued_; }
@@ -131,7 +116,6 @@ class HedgedReadManager
 
     using Key = std::pair<StripeId, ChunkIndex>;
 
-    sim::Simulator &simulator() const;
     void pump();
     void issueRead(const cluster::FailedChunk &fc);
     /**
@@ -151,34 +135,21 @@ class HedgedReadManager
                        SimTime when);
     void onAttemptFailed(const repair::ChunkRepairPlan &plan,
                          NodeId cause, SimTime when);
-    void markUnrecoverable(const cluster::FailedChunk &fc);
-    void releaseReservation(StripeId stripe, NodeId destination);
     void requeueDeferred();
-    void checkFinished(SimTime when);
 
-    cluster::StripeManager &stripes_;
-    repair::RepairExecutor &executor_;
     const repair::BandwidthMonitor &monitor_;
     HedgedReadConfig config_;
     std::deque<cluster::FailedChunk> pending_;
     /** Reads parked because concurrent attempts on the same stripe
      * hold every candidate destination. */
     std::deque<cluster::FailedChunk> deferred_;
+    /** Reads in flight. A read's primary and hedge (and concurrent
+     * reads of sibling chunks) hold distinct destinations in the
+     * base's per-stripe reservations. */
     std::map<Key, Read> active_;
-    /** Destinations held by in-flight attempts, per stripe — a
-     * read's primary and hedge (and concurrent reads of sibling
-     * chunks) must land on distinct nodes. */
-    std::map<StripeId, std::set<NodeId>> reserved_;
-    std::vector<cluster::FailedChunk> unrecoverable_;
-    int chunksRepaired_ = 0;
-    int totalChunks_ = 0;
-    int crashReplans_ = 0;
     int hedgesIssued_ = 0;
     int hedgeWins_ = 0;
     LatencyRecorder latencies_;
-    SimTime startTime_ = 0.0;
-    SimTime finishTime_ = kTimeNever;
-    bool started_ = false;
 };
 
 } // namespace traffic

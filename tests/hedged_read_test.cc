@@ -3,11 +3,14 @@
  * Tests for the hedged degraded-read manager: single-attempt
  * completion on a healthy cluster, hedge launch + win against a
  * pinned straggler helper, silent cancellation of the losing
- * attempt, the no-hedge baseline, crash re-planning, and the
- * unrecoverable path.
+ * attempt, the no-hedge baseline, crash re-planning, the
+ * unrecoverable path, and the once-per-read outcome hook.
  */
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <vector>
 
 #include "cluster/cluster.hh"
 #include "cluster/stripe_manager.hh"
@@ -205,6 +208,45 @@ TEST(HedgedRead, ShortStripeIsUnrecoverable)
     EXPECT_EQ(rig.manager_.chunksRepaired(), 0);
     EXPECT_EQ(rig.manager_.chunksUnrecoverable(), 1);
     EXPECT_EQ(rig.manager_.hedgesIssued(), 0);
+}
+
+TEST(HedgedRead, OutcomeHookFiresOncePerRead)
+{
+    HedgeRig rig;
+    std::map<std::pair<StripeId, ChunkIndex>, std::vector<bool>>
+        outcomes;
+    rig.manager_.setOutcomeHook(
+        [&outcomes](const cluster::FailedChunk &fc, bool repaired) {
+            outcomes[{fc.stripe, fc.chunk}].push_back(repaired);
+        });
+    // One read at a time, fed through enqueue(): a plain success...
+    rig.manager_.start({rig.lose(1, 2)});
+    rig.sim_.run(1000.0);
+    ASSERT_TRUE(rig.manager_.finished());
+    EXPECT_EQ(rig.manager_.hedgesIssued(), 0);
+    // ...a read whose hedge beats a crawling primary (the canceled
+    // loser must stay silent)...
+    auto raced = rig.lose(0, 0);
+    rig.throttleUplink(rig.firstHelperNode(0), 1.0);
+    rig.manager_.enqueue({raced});
+    rig.sim_.run(3000.0);
+    ASSERT_TRUE(rig.manager_.finished());
+    ASSERT_EQ(rig.manager_.hedgeWins(), 1);
+    // ...and a read past RS(4,2)'s parity budget.
+    auto doomed = rig.lose(2, 0);
+    rig.lose(2, 1);
+    rig.lose(2, 2);
+    rig.manager_.enqueue({doomed});
+    rig.sim_.run(4000.0);
+    ASSERT_TRUE(rig.manager_.finished());
+
+    using Outcomes = std::vector<bool>;
+    EXPECT_EQ(outcomes.size(), 3u);
+    EXPECT_EQ(outcomes[std::make_pair(1, 2)], Outcomes{true});
+    EXPECT_EQ(outcomes[std::make_pair(0, 0)], Outcomes{true});
+    EXPECT_EQ(outcomes[std::make_pair(2, 0)], Outcomes{false});
+    EXPECT_EQ(rig.manager_.chunksRepaired(), 2);
+    EXPECT_EQ(rig.manager_.chunksUnrecoverable(), 1);
 }
 
 } // namespace

@@ -333,12 +333,8 @@ TEST(Scenario, RejectsBadDegraded)
                    "retry_backoff");
     // The default (chameleon) algorithm owns its own plans.
     expectRejected(R"({"degraded": {"enabled": true}})", "session");
-    // Driven by an eager work list: no scanner, scrub, or topology
-    // override underneath.
-    expectRejected(R"({"algorithm": "cr",
-                       "degraded": {"enabled": true},
-                       "scanner": {"enabled": true}})",
-                   "scanner");
+    // Attempts are direct star reconstructions that do not route
+    // scrub repairs: no scrub or topology override underneath.
     expectRejected(R"({"algorithm": "cr",
                        "degraded": {"enabled": true},
                        "scrub": {"enabled": true}})",

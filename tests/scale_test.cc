@@ -2,7 +2,7 @@
  * @file
  * Scale-out cluster layer tests: the differential harness proving
  * the scanner/queue repair path produces byte-identical outcomes to
- * the direct-session path at small scale, property/fuzz coverage of
+ * the direct path at small scale for every repair driver, property/fuzz coverage of
  * RepairQueue priority and job-limit invariants under seeded chaos,
  * the StripeTable memory budget at 10^6 stripes, and a regression
  * guard that per-event solver work stays flat as the cluster grows.
@@ -58,7 +58,9 @@ withScanner(ExperimentConfig cfg)
     return cfg;
 }
 
-void
+/** Runs `cfg` on both paths, expects identical results, and returns
+ * the direct-path result. */
+ExperimentResult
 expectIdentical(Algorithm algorithm, const ExperimentConfig &cfg)
 {
     Runtime direct(algorithm, cfg);
@@ -76,6 +78,7 @@ expectIdentical(Algorithm algorithm, const ExperimentConfig &cfg)
     EXPECT_TRUE(a == b) << "scanner-path result diverges from the "
                            "direct path for "
                         << algorithmName(algorithm);
+    return a;
 }
 
 TEST(ScaleDifferential, ScannerPathMatchesDirectCr)
@@ -102,6 +105,23 @@ TEST(ScaleDifferential, ScannerPathMatchesDirectUnderForeground)
     ASSERT_TRUE(tryResolveTrace("ycsb-a", &profile));
     cfg.trace = profile;
     expectIdentical(Algorithm::kCr, cfg);
+}
+
+TEST(ScaleDifferential, ScannerPathMatchesDirectHedged)
+{
+    // Degraded reads through the hedged-read manager. The scanner
+    // path cannot auto-pick a straggler, so pin one on a helper of
+    // the lost chunks: hedges must fire and match on both paths.
+    ExperimentConfig cfg = diffConfig(16);
+    cfg.degraded.enabled = true;
+    StragglerEvent slow;
+    slow.node = 1;
+    slow.factor = 0.05;
+    slow.duration = 60.0;
+    cfg.stragglers.push_back(slow);
+    ExperimentResult r = expectIdentical(Algorithm::kCr, cfg);
+    EXPECT_GT(r.chunksRepaired, 0);
+    EXPECT_GT(r.hedgesIssued, 0);
 }
 
 TEST(ScaleDifferential, ExactStripeCountKnob)
