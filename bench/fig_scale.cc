@@ -69,6 +69,7 @@ struct CellResult
     long long queueMemoSkips = 0;
     long long rateRecomputes = 0;
     long long recomputeFlowVisits = 0;
+    long long reratedFlows = 0;
     double seconds = 0.0;
     double eventsPerSec = 0.0;
     double bytesPerStripe = 0.0;
@@ -149,6 +150,8 @@ runCell(const Cell &cell)
         r.rateRecomputes = static_cast<long long>(rr->value);
     if (const auto *fv = snap.find("sim.rate_recompute_flow_visits"))
         r.recomputeFlowVisits = static_cast<long long>(fv->value);
+    if (const auto *rf = snap.find("sim.solver.rerated_flows"))
+        r.reratedFlows = static_cast<long long>(rf->value);
     r.eventsPerSec = r.seconds > 0 ? r.events / r.seconds : 0.0;
     r.peakRss = peakRssBytes();
     return r;
@@ -241,6 +244,7 @@ main(int argc, char **argv)
                 "     \"queue_memo_skips\": %lld,\n"
                 "     \"rate_recomputes\": %lld,\n"
                 "     \"recompute_flow_visits\": %lld,\n"
+                "     \"rerated_flows\": %lld,\n"
                 "     \"wall_seconds\": %s,\n"
                 "     \"events_per_sec\": %s,\n"
                 "     \"sim_repair_seconds\": %s,\n"
@@ -249,7 +253,7 @@ main(int argc, char **argv)
                 r.cell.nodes, r.cell.stripes, r.chunksRepaired,
                 r.events, r.queueScanSteps, r.queueMemoSkips,
                 r.rateRecomputes, r.recomputeFlowVisits,
-                formatDouble(r.seconds).c_str(),
+                r.reratedFlows, formatDouble(r.seconds).c_str(),
                 formatDouble(r.eventsPerSec).c_str(),
                 formatDouble(r.repairTime).c_str(),
                 formatDouble(r.bytesPerStripe).c_str(),

@@ -12,8 +12,10 @@
  * BENCH_sim.json, the sim-layer analogue of BENCH_codec.json.
  *
  * Every cell also records the deterministic solver work behind its
- * wall clock: `sim.rate_recomputes` (solves) and
- * `sim.rate_recompute_flow_visits` (flows re-rated across them). The
+ * wall clock: `sim.rate_recomputes` (solves),
+ * `sim.rate_recompute_flow_visits` (flows re-filled across them) and
+ * `sim.solver.rerated_flows` (flows whose rate changed, which both
+ * modes must agree on: the solvers re-rate the same flows). The
  * churn cell additionally records the visits per operation at two
  * live-flow scales: the incremental solver's visits/op must not grow
  * with the number of live flows in other components (the
@@ -56,6 +58,7 @@ struct CellResult
     /** Solver work over the cell (registry counter deltas). */
     long long recomputes = 0;
     long long visits = 0;
+    long long rerated = 0;
     bool ok = true;
 };
 
@@ -68,11 +71,15 @@ counted(Fn &&cell)
         telemetry::metrics().counter("sim.rate_recomputes");
     auto &visits = telemetry::metrics().counter(
         "sim.rate_recompute_flow_visits");
+    auto &rerated =
+        telemetry::metrics().counter("sim.solver.rerated_flows");
     const int64_t r0 = recomputes.value.load();
     const int64_t v0 = visits.value.load();
+    const int64_t x0 = rerated.value.load();
     CellResult r = cell();
     r.recomputes = recomputes.value.load() - r0;
     r.visits = visits.value.load() - v0;
+    r.rerated = rerated.value.load() - x0;
     return r;
 }
 
@@ -369,8 +376,9 @@ main(int argc, char **argv)
     bool ok = true;
     std::printf("micro_sim: incremental vs reference solver\n");
     for (const auto &p : cells) {
-        const bool consistent =
-            p.inc.ok && p.ref.ok && p.inc.events == p.ref.events;
+        const bool consistent = p.inc.ok && p.ref.ok &&
+                                p.inc.events == p.ref.events &&
+                                p.inc.rerated == p.ref.rerated;
         ok = ok && consistent;
         const double speedup = p.ref.eventsPerSec > 0
                                    ? p.inc.eventsPerSec /
@@ -379,11 +387,13 @@ main(int argc, char **argv)
         std::printf("  %-6s  %9lld events  inc %12.0f ev/s  "
                     "ref %12.0f ev/s  %5.2fx  [%s]\n"
                     "          rate_recomputes inc %lld ref %lld  "
-                    "recompute_flow_visits inc %lld ref %lld\n",
+                    "recompute_flow_visits inc %lld ref %lld  "
+                    "rerated_flows %lld\n",
                     p.inc.name.c_str(), p.inc.events,
                     p.inc.eventsPerSec, p.ref.eventsPerSec, speedup,
                     consistent ? "ok" : "FAIL", p.inc.recomputes,
-                    p.ref.recomputes, p.inc.visits, p.ref.visits);
+                    p.ref.recomputes, p.inc.visits, p.ref.visits,
+                    p.inc.rerated);
     }
     const double visitsGrowth =
         visitsSmall > 0 ? visitsLarge / visitsSmall : 0.0;
@@ -421,13 +431,14 @@ main(int argc, char **argv)
                 "     \"incremental_rate_recomputes\": %lld,\n"
                 "     \"incremental_recompute_flow_visits\": %lld,\n"
                 "     \"reference_rate_recomputes\": %lld,\n"
-                "     \"reference_recompute_flow_visits\": %lld}%s\n",
+                "     \"reference_recompute_flow_visits\": %lld,\n"
+                "     \"rerated_flows\": %lld}%s\n",
                 p.inc.name.c_str(), p.inc.events,
                 formatDouble(p.inc.eventsPerSec).c_str(),
                 formatDouble(p.ref.eventsPerSec).c_str(),
                 formatDouble(speedup).c_str(), p.inc.recomputes,
                 p.inc.visits, p.ref.recomputes, p.ref.visits,
-                i + 1 < cells.size() ? "," : "");
+                p.inc.rerated, i + 1 < cells.size() ? "," : "");
         }
         std::fprintf(
             json,

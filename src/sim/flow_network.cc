@@ -15,6 +15,16 @@ namespace {
 /** Bytes below which a flow counts as finished (guards FP error). */
 constexpr Bytes kByteEps = 1e-3;
 
+/** A resource's max-min fair share among its unfrozen flows; +inf
+ * when none is left, so the bottleneck scan never picks it. */
+Rate
+fairShare(Rate residual, std::size_t unfrozen)
+{
+    if (unfrozen == 0)
+        return std::numeric_limits<Rate>::infinity();
+    return std::max(residual, 0.0) / static_cast<Rate>(unfrozen);
+}
+
 } // namespace
 
 FlowNetwork::FlowNetwork(Simulator &sim, SimTime usage_window)
@@ -31,6 +41,8 @@ FlowNetwork::FlowNetwork(Simulator &sim, SimTime usage_window)
           "sim.rate_recompute_flow_visits")),
       dirtyResourceVisits_(telemetry::metrics().counter(
           "sim.solver.dirty_resource_visits")),
+      reratedFlows_(
+          telemetry::metrics().counter("sim.solver.rerated_flows")),
       capacityChanges_(
           telemetry::metrics().counter("sim.capacity_changes"))
 {
@@ -361,7 +373,8 @@ FlowNetwork::resolve()
         // Oracle mode: the dirty set is the whole network, making
         // this the classic from-scratch global solve. Everything
         // downstream is shared with incremental mode, so the two
-        // modes differ only in dirty-set discovery.
+        // modes differ only in dirty-set discovery (and in which
+        // per-tag rate sums solveDirty refreshes: here, all).
         dirtyRes_.clear();
         dirtyFlows_.clear();
         for (auto &res : resources_)
@@ -406,11 +419,8 @@ FlowNetwork::resolve()
                     }
                 }
             }
-            // The bottleneck scan must visit resources in index order
-            // so its tie-break matches the reference solver's
-            // bit-for-bit (pointer order == index order: resources_
-            // is contiguous).
-            std::sort(dirtyRes_.begin(), dirtyRes_.end());
+            // BFS order is fine: the fill breaks bottleneck ties by
+            // resource index, as the reference solver's scan does.
             solveDirty(now);
         }
     }
@@ -439,23 +449,27 @@ FlowNetwork::solveDirty(SimTime now)
     for (Resource *res : dirtyRes_) {
         res->residual = res->capacity;
         res->unfrozen = res->active.size();
+        res->fair = fairShare(res->residual, res->unfrozen);
     }
     for (Flow *f : dirtyFlows_) {
         f->prevRate = f->rate;
         f->rate = -1.0; // marks unfrozen
     }
+    rerated_.clear();
 
     std::size_t remaining_flows = dirtyFlows_.size();
     while (remaining_flows > 0) {
-        // Find the bottleneck resource.
+        // Find the bottleneck: the least (fair share, resource
+        // index), so equal shares resolve the same way whatever
+        // order the dirty set was discovered in (pointer order ==
+        // index order: resources_ is contiguous). Resources with no
+        // unfrozen flow cache +inf and are never picked.
         Rate best_fair = std::numeric_limits<Rate>::infinity();
         Resource *best = nullptr;
         for (Resource *res : dirtyRes_) {
-            if (res->unfrozen == 0)
-                continue;
-            Rate fair = std::max(res->residual, 0.0) /
-                        static_cast<Rate>(res->unfrozen);
-            if (fair < best_fair) {
+            const Rate fair = res->fair;
+            if (fair < best_fair ||
+                (fair == best_fair && best != nullptr && res < best)) {
                 best_fair = fair;
                 best = res;
             }
@@ -471,15 +485,21 @@ FlowNetwork::solveDirty(SimTime now)
             if (flow.rate >= 0)
                 continue; // already frozen
             flow.rate = best_fair;
+            const bool rerated = flow.rate != flow.prevRate;
+            if (rerated)
+                rerated_.push_back(&flow);
             for (ResourceId pr : flow.path) {
                 auto &p = resources_[static_cast<std::size_t>(pr)];
                 p.residual -= best_fair;
                 CHAMELEON_ASSERT(p.unfrozen > 0, "bookkeeping error");
                 p.unfrozen -= 1;
+                p.fair = fairShare(p.residual, p.unfrozen);
+                p.tagsStale = p.tagsStale || rerated;
             }
             --remaining_flows;
         }
     }
+    reratedFlows_.add(static_cast<int64_t>(rerated_.size()));
 
     // Apply pass, ordered by flow id so both solver modes touch
     // flows in the same sequence: integrate each re-rated flow over
@@ -489,22 +509,29 @@ FlowNetwork::solveDirty(SimTime now)
     // a flow whose rate is bit-unchanged across the instant is
     // skipped however much churn happened around it — its progress
     // stays lazily pending and its heap entry is already correct.
-    std::sort(dirtyFlows_.begin(), dirtyFlows_.end(),
+    // Only the re-rated flows are sorted: typically a few of a
+    // component's dozens.
+    std::sort(rerated_.begin(), rerated_.end(),
               [](const Flow *a, const Flow *b) { return a->id < b->id; });
-    for (Flow *f : dirtyFlows_) {
-        if (f->rate == f->prevRate)
-            continue;
+    for (Flow *f : rerated_) {
         integrateFlow(*f, now, f->prevRate);
         f->eta = f->rate > 0 ? now + f->remaining / f->rate
                              : kTimeNever;
         heapUpdate(f);
     }
 
-    // Refresh the per-tag rate sums of the dirty resources from
-    // scratch (a left-to-right walk of each active list): O(component
-    // edges), same as one fill round, and — unlike += deltas — free
-    // of accumulated FP drift, so an idle link reads exactly 0.
+    // Refresh per-tag rate sums from scratch (a left-to-right walk of
+    // each active list): unlike += deltas, free of accumulated FP
+    // drift, so an idle link reads exactly 0. Only a resource whose
+    // active list changed (seeded) or that carries a re-rated flow
+    // can have a different sum; every other one already holds the
+    // from-scratch sum of the same rates in the same list order. The
+    // reference solver refreshes every resource, staying a
+    // from-scratch oracle.
     for (Resource *res : dirtyRes_) {
+        if (!referenceSolver_ && !res->seeded && !res->tagsStale)
+            continue;
+        res->tagsStale = false;
         Rate sums[kNumFlowTags] = {0.0, 0.0, 0.0};
         for (const Flow *f : res->active)
             sums[static_cast<int>(f->tag)] += f->rate;

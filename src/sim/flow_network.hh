@@ -245,9 +245,16 @@ class FlowNetwork
         uint64_t mark = 0;
         /** Already in pendingSeeds_. */
         bool seeded = false;
-        /** Progressive-filling scratch (solve-internal). */
+        /** Progressive-filling scratch (solve-internal). `fair`
+         * caches max(residual, 0) / unfrozen (+inf at 0 unfrozen),
+         * recomputed wherever a freeze changes either, so the
+         * bottleneck scan divides nothing. */
         Rate residual = 0.0;
         std::size_t unfrozen = 0;
+        Rate fair = 0.0;
+        /** Carries a flow the current solve re-rated, so its per-tag
+         * rate sums need a refresh (solve-internal). */
+        bool tagsStale = false;
 
         Resource(std::string n, Rate c, SimTime window)
             : name(std::move(n)), capacity(c),
@@ -290,10 +297,16 @@ class FlowNetwork
      */
     bool resolve();
 
-    /** Progressive filling over dirtyRes_/dirtyFlows_ (one
-     * component, or the whole network), integrating and re-keying
-     * every flow whose rate changed across the instant, and
-     * refreshing the per-tag rate sums of the dirty resources. */
+    /**
+     * Progressive filling over dirtyRes_/dirtyFlows_ (one component,
+     * or the whole network; either in any order: the bottleneck is
+     * the least (fair share, resource index)). Integrates and
+     * re-keys, in flow-id order, only the flows whose rate changed
+     * across the instant, and refreshes the per-tag rate sums of the
+     * resources whose sums can have moved: the seeded ones (their
+     * active lists changed) and those carrying a re-rated flow. In
+     * reference-solver mode every dirty resource is refreshed.
+     */
     void solveDirty(SimTime now);
 
     /** Stages the completion of a finished flow: callback, counters,
@@ -334,6 +347,7 @@ class FlowNetwork
     telemetry::Counter &rateRecomputes_;
     telemetry::Counter &rateRecomputeVisits_;
     telemetry::Counter &dirtyResourceVisits_;
+    telemetry::Counter &reratedFlows_;
     telemetry::Counter &capacityChanges_;
     std::vector<Resource> resources_;
     std::unordered_map<FlowId, Flow> flows_;
@@ -355,6 +369,8 @@ class FlowNetwork
     /** Solve scratch, reused across solves (allocation-light). */
     std::vector<Resource *> dirtyRes_;
     std::vector<Flow *> dirtyFlows_;
+    /** Flows whose rate the current solve changed. */
+    std::vector<Flow *> rerated_;
     std::vector<Resource *> bfsStack_;
 };
 

@@ -138,12 +138,22 @@ class Churn
     Bytes lastCancelReturn_ = 0.0;
 };
 
+/**
+ * A seeded churn script over `nres` resources. With `ties`, every
+ * capacity and capacity step is one of two values (like a cluster's
+ * equal links), so equal fair shares on different resources are
+ * common and the bottleneck tie-break decides which one saturates
+ * first.
+ */
 std::vector<Op>
 makeScript(uint32_t seed, std::size_t nres, std::size_t nops,
-           std::vector<Rate> &caps)
+           std::vector<Rate> &caps, bool ties = false)
 {
     std::mt19937 rng(seed);
-    std::uniform_real_distribution<double> capDist(20.0, 150.0);
+    std::uniform_real_distribution<double> realCap(20.0, 150.0);
+    auto capDist = [&](std::mt19937 &g) {
+        return ties ? (g() % 2 == 0 ? 50.0 : 100.0) : realCap(g);
+    };
     caps.clear();
     for (std::size_t i = 0; i < nres; ++i)
         caps.push_back(capDist(rng));
@@ -263,10 +273,19 @@ expectInvariants(Churn &c)
 
 TEST(SimIncremental, DifferentialChurnMatchesReferenceSolver)
 {
-    for (uint32_t seed : {1u, 7u, 42u, 1234u, 99991u}) {
-        SCOPED_TRACE("seed " + std::to_string(seed));
+    struct Input
+    {
+        uint32_t seed;
+        bool ties;
+    };
+    for (const Input in : {Input{1u, false}, Input{7u, false},
+                           Input{42u, false}, Input{1234u, false},
+                           Input{99991u, false}, Input{5u, true},
+                           Input{77u, true}, Input{2024u, true}}) {
+        SCOPED_TRACE("seed " + std::to_string(in.seed) +
+                     (in.ties ? " tie-heavy" : ""));
         std::vector<Rate> caps;
-        const auto script = makeScript(seed, 12, 250, caps);
+        const auto script = makeScript(in.seed, 12, 250, caps, in.ties);
         Churn inc(/*reference=*/false, caps);
         Churn ref(/*reference=*/true, caps);
         ASSERT_FALSE(inc.net().referenceSolver());
