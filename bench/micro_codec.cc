@@ -3,7 +3,9 @@
  * Microbenchmarks for the coding substrate: GF(2^8) region kernels
  * (per ISA variant and through the dispatched path), the fused
  * multi-source kernel, RS/LRC encode, single-chunk repair
- * computation, full decode, and Butterfly sub-chunk repair. These
+ * computation, full decode, Butterfly sub-chunk repair, and the
+ * codec's control path (repair planning and the guaranteed-count
+ * enumeration, with LinearCode eliminations per iteration). These
  * verify that decoding bandwidth far exceeds simulated link
  * bandwidth — the paper's premise for treating the network, not the
  * CPU, as the repair bottleneck (Section II-B) — and report GB/s per
@@ -17,6 +19,7 @@
 #include "ec/factory.hh"
 #include "gf/gf256.hh"
 #include "gf/gf_kernels.hh"
+#include "telemetry/telemetry.hh"
 #include "util/rng.hh"
 
 namespace {
@@ -213,6 +216,51 @@ BM_CodecRepair(benchmark::State &state, std::string spec)
         static_cast<int64_t>(state.iterations()) * (1 << 20));
 }
 
+/** Process-wide ec.eliminations: one per LinearCode elimination. */
+int64_t
+eliminations()
+{
+    return telemetry::processMetrics()
+        .counter("ec.eliminations")
+        .value.load();
+}
+
+/** The planner's control path for every single loss of a stripe:
+ * repairIndices then specFor over the returned set, no byte math.
+ * Registered in main(); one iteration covers all n chunks. */
+void
+BM_RepairPlan(benchmark::State &state, std::string spec)
+{
+    auto code = ec::makeCode(spec);
+    const int64_t before = eliminations();
+    for (auto _ : state) {
+        for (ChunkIndex f = 0; f < code->n(); ++f) {
+            const ChunkIndex erased[] = {f};
+            auto helpers = code->repairIndices(erased);
+            auto repair = code->specFor(f, *helpers);
+            benchmark::DoNotOptimize(repair);
+        }
+    }
+    const auto total = static_cast<double>(eliminations() - before);
+    state.counters["eliminations"] =
+        benchmark::Counter(total, benchmark::Counter::kAvgIterations);
+    state.counters["eliminations_per_loss"] = benchmark::Counter(
+        total / code->n(), benchmark::Counter::kAvgIterations);
+}
+
+/** The full guaranteedRepairableCount enumeration (Exp#17 rows). */
+void
+BM_GuaranteedCount(benchmark::State &state, std::string spec)
+{
+    auto code = ec::makeCode(spec);
+    const int64_t before = eliminations();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(code->guaranteedRepairableCount());
+    state.counters["eliminations"] = benchmark::Counter(
+        static_cast<double>(eliminations() - before),
+        benchmark::Counter::kAvgIterations);
+}
+
 void
 BM_LrcLocalRepair(benchmark::State &state)
 {
@@ -318,6 +366,17 @@ main(int argc, char **argv)
         std::string name =
             std::string("BM_CodecRepair/") + spec + "/1MiB";
         benchmark::RegisterBenchmark(name.c_str(), BM_CodecRepair,
+                                     std::string(spec));
+    }
+    for (const char *spec : {"rs(10,4)", "rs(24,8)", "lrc(12,2,2,2)",
+                             "lrc(24,4,2,2)"}) {
+        std::string name = std::string("BM_RepairPlan/") + spec;
+        benchmark::RegisterBenchmark(name.c_str(), BM_RepairPlan,
+                                     std::string(spec));
+    }
+    for (const char *spec : {"lrc(12,2,2,2)", "lrc(24,4,2,2)"}) {
+        std::string name = std::string("BM_GuaranteedCount/") + spec;
+        benchmark::RegisterBenchmark(name.c_str(), BM_GuaranteedCount,
                                      std::string(spec));
     }
     benchmark::AddCustomContext("gf_kernel", gf::kernelName());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "telemetry/telemetry.hh"
 #include "util/logging.hh"
 
 namespace chameleon {
@@ -41,96 +42,154 @@ LinearCode::encode(const std::vector<Buffer> &data) const
     for (int j = 0; j < k_; ++j)
         srcs[static_cast<std::size_t>(j)] =
             data[static_cast<std::size_t>(j)].data();
-    std::vector<gf::Elem> coeffs(static_cast<std::size_t>(k_));
     std::vector<Buffer> parity(m_, Buffer(size, 0));
-    for (int p = 0; p < m_; ++p) {
-        for (int j = 0; j < k_; ++j)
-            coeffs[static_cast<std::size_t>(j)] = gen_.at(k_ + p, j);
+    for (int p = 0; p < m_; ++p)
         gf::mulAddRegionMulti(std::span<uint8_t>(parity[p]), srcs,
-                              coeffs);
-    }
+                              gen_.row(k_ + p));
     return parity;
 }
+
+namespace {
+
+/** Rank of the unknowns block and solvability of every right-hand
+ * side, as found by eliminate(). */
+struct Elimination
+{
+    std::size_t rank;
+    bool solvable;
+};
+
+/**
+ * The one Gauss-Jordan elimination behind every repair-algebra
+ * question. The system's columns are the rows `cols` of `src` (the
+ * unknowns) followed by the rows `rhs` of `src` (right-hand sides);
+ * its rows are the src.cols() coordinates. Pivots are taken column
+ * by column in `cols` order, so the pivot columns are the first
+ * linearly independent subset of `cols` in that order and each
+ * solvable right-hand side has exactly one representation over them;
+ * free columns get coefficient zero.
+ *
+ * The matrix is a flat row-major per-thread scratch (no allocation
+ * once warm) filled straight from src's rows, with inline gf::mul per
+ * cell; the counted region kernels are never involved. Each call adds
+ * one to the process counter ec.eliminations.
+ *
+ * @param x  if non-null and every right-hand side is solvable,
+ *           receives rhs.size() x cols.size() coefficients,
+ *           row-major (right-hand side j in row j).
+ */
+Elimination
+eliminate(const gf::Matrix &src, std::span<const ChunkIndex> cols,
+          std::span<const ChunkIndex> rhs, std::vector<gf::Elem> *x)
+{
+    static telemetry::Counter &eliminations =
+        telemetry::processMetrics().counter("ec.eliminations");
+    eliminations.add();
+
+    const std::size_t rows = src.cols();
+    const std::size_t h = cols.size();
+    const std::size_t w = h + rhs.size();
+    thread_local std::vector<gf::Elem> a;
+    thread_local std::vector<std::size_t> pivot_col;
+    a.resize(rows * w);
+    pivot_col.resize(rows);
+    for (std::size_t i = 0; i < w; ++i) {
+        auto v = src.row(
+            static_cast<std::size_t>(i < h ? cols[i] : rhs[i - h]));
+        for (std::size_t c = 0; c < rows; ++c)
+            a[c * w + i] = v[c];
+    }
+
+    // A rank-only question (no right-hand side) needs no
+    // back-substitution: clear below the pivot only.
+    std::size_t rank = 0;
+    for (std::size_t col = 0; col < h && rank < rows; ++col) {
+        std::size_t piv = rank;
+        while (piv < rows && a[piv * w + col] == 0)
+            ++piv;
+        if (piv == rows)
+            continue;
+        // Rows at or below the rank are zero left of col.
+        gf::Elem *prow = &a[rank * w];
+        if (piv != rank)
+            std::swap_ranges(prow + col, prow + w, &a[piv * w + col]);
+        const gf::Elem piv_inv = gf::inv(prow[col]);
+        for (std::size_t j = col; j < w; ++j)
+            prow[j] = gf::mul(prow[j], piv_inv);
+        for (std::size_t r = rhs.empty() ? rank + 1 : 0; r < rows; ++r) {
+            gf::Elem *row = &a[r * w];
+            const gf::Elem f = row[col];
+            if (r == rank || f == 0)
+                continue;
+            for (std::size_t j = col; j < w; ++j)
+                row[j] ^= gf::mul(f, prow[j]);
+        }
+        pivot_col[rank++] = col;
+    }
+    // Rows past the rank are zero on the unknowns, so a nonzero
+    // right-hand side there is inconsistent.
+    for (std::size_t r = rank; r < rows; ++r)
+        for (std::size_t j = h; j < w; ++j)
+            if (a[r * w + j] != 0)
+                return {rank, false};
+    if (x != nullptr) {
+        x->assign(rhs.size() * h, 0);
+        for (std::size_t r = 0; r < rank; ++r)
+            for (std::size_t j = 0; j < rhs.size(); ++j)
+                (*x)[j * h + pivot_col[r]] = a[r * w + h + j];
+    }
+    return {rank, true};
+}
+
+/** Ascending survivor list: [0, n) minus the erased set. */
+std::vector<ChunkIndex>
+survivorsOf(int n, std::span<const ChunkIndex> erased)
+{
+    std::vector<bool> gone(static_cast<std::size_t>(n), false);
+    for (auto e : erased)
+        gone[static_cast<std::size_t>(e)] = true;
+    std::vector<ChunkIndex> out;
+    out.reserve(static_cast<std::size_t>(n) - erased.size());
+    for (ChunkIndex i = 0; i < n; ++i)
+        if (!gone[static_cast<std::size_t>(i)])
+            out.push_back(i);
+    return out;
+}
+
+} // namespace
 
 std::optional<std::vector<gf::Elem>>
 LinearCode::repairCoeffs(ChunkIndex failed,
                          std::span<const ChunkIndex> helpers) const
 {
-    const auto h = helpers.size();
     CHAMELEON_ASSERT(failed >= 0 && failed < n(), "bad failed index");
     for (auto idx : helpers) {
         CHAMELEON_ASSERT(idx >= 0 && idx < n(), "bad helper index");
         CHAMELEON_ASSERT(idx != failed, "helper equals failed chunk");
     }
-
-    // Solve M x = b where column i of M is G[helpers[i]] (length k)
-    // and b = G[failed]. Gaussian elimination on the k x (h+1)
-    // augmented matrix; free variables default to zero.
-    const std::size_t rows = static_cast<std::size_t>(k_);
-    std::vector<std::vector<gf::Elem>> aug(
-        rows, std::vector<gf::Elem>(h + 1, 0));
-    for (std::size_t c = 0; c < rows; ++c) {
-        for (std::size_t i = 0; i < h; ++i)
-            aug[c][i] = gen_.at(static_cast<std::size_t>(helpers[i]), c);
-        aug[c][h] = gen_.at(static_cast<std::size_t>(failed), c);
-    }
-
-    std::vector<std::size_t> pivot_col_of_row(rows, h);
-    std::size_t rank = 0;
-    for (std::size_t col = 0; col < h && rank < rows; ++col) {
-        std::size_t piv = rank;
-        while (piv < rows && aug[piv][col] == 0)
-            ++piv;
-        if (piv == rows)
-            continue;
-        std::swap(aug[rank], aug[piv]);
-        gf::Elem piv_inv = gf::inv(aug[rank][col]);
-        for (std::size_t j = col; j <= h; ++j)
-            aug[rank][j] = gf::mul(aug[rank][j], piv_inv);
-        for (std::size_t r = 0; r < rows; ++r) {
-            if (r == rank || aug[r][col] == 0)
-                continue;
-            gf::Elem f = aug[r][col];
-            for (std::size_t j = col; j <= h; ++j)
-                aug[r][j] = gf::add(aug[r][j],
-                                    gf::mul(f, aug[rank][j]));
-        }
-        pivot_col_of_row[rank] = col;
-        ++rank;
-    }
-    // Inconsistency check: a zero row with nonzero RHS.
-    for (std::size_t r = rank; r < rows; ++r) {
-        bool all_zero = true;
-        for (std::size_t j = 0; j < h; ++j) {
-            if (aug[r][j] != 0) {
-                all_zero = false;
-                break;
-            }
-        }
-        if (all_zero && aug[r][h] != 0)
-            return std::nullopt;
-    }
-
-    std::vector<gf::Elem> x(h, 0);
-    for (std::size_t r = 0; r < rank; ++r)
-        x[pivot_col_of_row[r]] = aug[r][h];
+    std::vector<gf::Elem> x;
+    if (!eliminate(gen_, helpers, {&failed, 1}, &x).solvable)
+        return std::nullopt;
     return x;
-}
-
-bool
-LinearCode::canRepairWith(ChunkIndex failed,
-                          std::span<const ChunkIndex> helpers) const
-{
-    return repairCoeffs(failed, helpers).has_value();
 }
 
 RepairSpec
 LinearCode::specFromHelpers(ChunkIndex failed,
                             std::span<const ChunkIndex> helpers) const
 {
-    auto coeffs = repairCoeffs(failed, helpers);
-    CHAMELEON_ASSERT(coeffs.has_value(),
+    auto spec = specFor(failed, helpers);
+    CHAMELEON_ASSERT(spec.has_value(),
                      "helpers cannot repair chunk ", failed);
+    return std::move(*spec);
+}
+
+std::optional<RepairSpec>
+LinearCode::specFor(ChunkIndex failed,
+                    std::span<const ChunkIndex> helpers) const
+{
+    auto coeffs = repairCoeffs(failed, helpers);
+    if (!coeffs)
+        return std::nullopt;
     RepairSpec spec;
     spec.failed = failed;
     spec.combinable = true;
@@ -143,15 +202,6 @@ LinearCode::specFromHelpers(ChunkIndex failed,
         spec.reads.push_back(RepairRead{helpers[i], 1.0, (*coeffs)[i]});
     }
     return spec;
-}
-
-std::optional<RepairSpec>
-LinearCode::specFor(ChunkIndex failed,
-                    std::span<const ChunkIndex> helpers) const
-{
-    if (!repairCoeffs(failed, helpers))
-        return std::nullopt;
-    return specFromHelpers(failed, helpers);
 }
 
 Buffer
@@ -175,25 +225,6 @@ LinearCode::repairCompute(const RepairSpec &spec,
     return out;
 }
 
-namespace {
-
-/** Ascending survivor list: [0, n) minus the erased set. */
-std::vector<ChunkIndex>
-survivorsOf(int n, std::span<const ChunkIndex> erased)
-{
-    std::vector<bool> gone(static_cast<std::size_t>(n), false);
-    for (auto e : erased)
-        gone[static_cast<std::size_t>(e)] = true;
-    std::vector<ChunkIndex> out;
-    out.reserve(static_cast<std::size_t>(n) - erased.size());
-    for (ChunkIndex i = 0; i < n; ++i)
-        if (!gone[static_cast<std::size_t>(i)])
-            out.push_back(i);
-    return out;
-}
-
-} // namespace
-
 bool
 LinearCode::canRepair(std::span<const ChunkIndex> erased) const
 {
@@ -201,13 +232,10 @@ LinearCode::canRepair(std::span<const ChunkIndex> erased) const
         return true;
     for (auto e : erased)
         CHAMELEON_ASSERT(e >= 0 && e < n(), "bad erased index ", e);
-    auto survivors = survivorsOf(n(), erased);
-    if (survivors.size() < static_cast<std::size_t>(k_))
-        return false;
-    for (auto e : erased)
-        if (!repairCoeffs(e, survivors))
-            return false;
-    return true;
+    // G has rank k, so every erased row lies in the survivors' span
+    // iff the survivor rows alone reach rank k.
+    return eliminate(gen_, survivorsOf(n(), erased), {}, nullptr)
+               .rank == static_cast<std::size_t>(k_);
 }
 
 std::optional<std::vector<ChunkIndex>>
@@ -218,44 +246,17 @@ LinearCode::repairIndices(std::span<const ChunkIndex> erased) const
     for (auto e : erased)
         CHAMELEON_ASSERT(e >= 0 && e < n(), "bad erased index ", e);
     auto survivors = survivorsOf(n(), erased);
-
-    // Seed set: helpers that actually carry a nonzero coefficient in
-    // the deterministic (ascending-survivor) solve of each erased row.
-    std::vector<bool> used(static_cast<std::size_t>(n()), false);
-    for (auto e : erased) {
-        auto coeffs = repairCoeffs(e, survivors);
-        if (!coeffs)
-            return std::nullopt;
-        for (std::size_t i = 0; i < survivors.size(); ++i)
-            if ((*coeffs)[i] != 0)
-                used[static_cast<std::size_t>(survivors[i])] = true;
-    }
+    std::vector<gf::Elem> x;
+    if (!eliminate(gen_, survivors, erased, &x).solvable)
+        return std::nullopt;
+    // Every survivor some erased row needs, in ascending order.
     std::vector<ChunkIndex> helpers;
-    for (ChunkIndex i = 0; i < n(); ++i)
-        if (used[static_cast<std::size_t>(i)])
-            helpers.push_back(i);
-
-    // Prune pass: drop any helper whose removal keeps every erased
-    // chunk solvable. Lowest index first keeps the result
-    // deterministic; the surviving set is irredundant.
-    for (std::size_t i = 0; i < helpers.size();) {
-        std::vector<ChunkIndex> without;
-        without.reserve(helpers.size() - 1);
-        for (std::size_t j = 0; j < helpers.size(); ++j)
-            if (j != i)
-                without.push_back(helpers[j]);
-        bool droppable = true;
-        for (auto e : erased) {
-            if (!repairCoeffs(e, without)) {
-                droppable = false;
+    for (std::size_t i = 0; i < survivors.size(); ++i)
+        for (std::size_t e = 0; e < erased.size(); ++e)
+            if (x[e * survivors.size() + i] != 0) {
+                helpers.push_back(survivors[i]);
                 break;
             }
-        }
-        if (droppable)
-            helpers = std::move(without);
-        else
-            ++i;
-    }
     return helpers;
 }
 
@@ -273,33 +274,32 @@ LinearCode::minimalHelpersFor(
     for (std::size_t i = 0; i < sorted.size(); ++i)
         if ((*coeffs)[i] != 0)
             helpers.push_back(sorted[i]);
-    for (std::size_t i = 0; i < helpers.size();) {
-        std::vector<ChunkIndex> without;
-        without.reserve(helpers.size() - 1);
-        for (std::size_t j = 0; j < helpers.size(); ++j)
-            if (j != i)
-                without.push_back(helpers[j]);
-        if (repairCoeffs(failed, without))
-            helpers = std::move(without);
-        else
-            ++i;
-    }
     return helpers;
 }
 
 int
 LinearCode::guaranteedRepairableCount() const
 {
-    // Level f is guaranteed iff every size-f pattern repairs. Erasing
-    // more than m chunks leaves fewer than k survivor rows, so m is a
-    // hard cap and the enumeration is over at most C(n, m) patterns.
+    // A pattern repairs iff no nonzero codeword lives on it, i.e. iff
+    // its columns of the parity-check matrix H = [P | I_m] are
+    // linearly independent: one f x m rank test per pattern. Row i of
+    // ht is column i of H. Level f is guaranteed iff every size-f
+    // pattern repairs; erasing more than m chunks always loses rank.
+    gf::Matrix ht(static_cast<std::size_t>(n()),
+                  static_cast<std::size_t>(m_));
+    for (int p = 0; p < m_; ++p) {
+        for (int i = 0; i < k_; ++i)
+            ht.set(i, p, gen_.at(k_ + p, i));
+        ht.set(k_ + p, p, gf::kOne);
+    }
     for (int f = 1; f <= m_; ++f) {
         std::vector<ChunkIndex> pattern(static_cast<std::size_t>(f));
         // Lexicographic enumeration of all f-subsets of [0, n).
         for (int i = 0; i < f; ++i)
             pattern[static_cast<std::size_t>(i)] = i;
         while (true) {
-            if (!canRepair(pattern))
+            if (eliminate(ht, pattern, {}, nullptr).rank <
+                static_cast<std::size_t>(f))
                 return f - 1;
             int i = f - 1;
             while (i >= 0 &&
@@ -338,23 +338,21 @@ LinearCode::decode(std::vector<Buffer> &chunks) const
 
     // A missing chunk is recoverable iff its generator row lies in
     // the span of the survivor rows; expressing it as a combination
-    // handles both MDS (RS) and non-MDS (LRC) patterns uniformly.
-    std::vector<std::vector<gf::Elem>> coeff_sets;
-    coeff_sets.reserve(missing.size());
-    for (ChunkIndex miss : missing) {
-        auto coeffs = repairCoeffs(miss, survivors);
-        if (!coeffs)
-            return false;
-        coeff_sets.push_back(std::move(*coeffs));
-    }
+    // handles both MDS (RS) and non-MDS (LRC) patterns uniformly. One
+    // elimination solves every missing row at once.
+    std::vector<gf::Elem> coeffs;
+    if (!eliminate(gen_, survivors, missing, &coeffs).solvable)
+        return false;
     std::vector<const gf::Elem *> srcs(survivors.size());
     for (std::size_t i = 0; i < survivors.size(); ++i)
         srcs[i] =
             chunks[static_cast<std::size_t>(survivors[i])].data();
     for (std::size_t mi = 0; mi < missing.size(); ++mi) {
         Buffer out(size, 0);
-        gf::mulAddRegionMulti(std::span<uint8_t>(out), srcs,
-                              coeff_sets[mi]);
+        gf::mulAddRegionMulti(
+            std::span<uint8_t>(out), srcs,
+            std::span<const gf::Elem>(coeffs).subspan(
+                mi * survivors.size(), survivors.size()));
         chunks[static_cast<std::size_t>(missing[mi])] = std::move(out);
     }
     return true;

@@ -42,18 +42,19 @@ class LinearCode : public ErasureCode
             std::span<const ChunkIndex> helpers) const override;
 
     /**
-     * Generic rank test: every erased row must lie in the span of the
-     * survivor rows. Works for any linear code, MDS or not.
+     * Generic rank test: the pattern repairs iff the survivor rows
+     * reach rank k. Works for any linear code, MDS or not.
      */
     bool canRepair(std::span<const ChunkIndex> erased) const override;
 
     /**
-     * Generic minimal helper set: solve each erased row over the
-     * ascending survivor list, union the helpers with nonzero
-     * coefficients, then greedily prune helpers (lowest index first)
-     * that are not needed by any erased chunk. Deterministic and
-     * irredundant; for LRC single failures this reproduces the local
-     * group exactly.
+     * Generic minimal helper set: one solve of every erased row over
+     * the ascending survivor list, keeping the survivors with a
+     * nonzero coefficient for some erased row. Those are pivot
+     * columns, hence independent, so each erased row's
+     * representation over them is unique and none can be dropped:
+     * the set is irredundant with no prune pass. Deterministic; for
+     * LRC single failures it reproduces the local group exactly.
      */
     std::optional<std::vector<ChunkIndex>>
     repairIndices(std::span<const ChunkIndex> erased) const override;
@@ -64,9 +65,12 @@ class LinearCode : public ErasureCode
      * unrepairable one, capped at m (erasing more than m chunks
      * always loses rank). MDS subclasses override with m().
      *
-     * Recomputed on every call (no memo): code instances are shared
-     * across sweep worker threads, and the enumeration is cheap at
-     * simulation scale.
+     * Each pattern costs one f x m rank test on its parity-check
+     * columns. Recomputed on every call (no memo, since code
+     * instances are shared across sweep worker threads); the
+     * enumeration still visits every pattern up to the first
+     * unrepairable one, 33.4k for lrc(24,4,2,2) (a few ms), so
+     * callers should not ask it per repair.
      */
     int guaranteedRepairableCount() const override;
 
@@ -84,10 +88,6 @@ class LinearCode : public ErasureCode
     repairCoeffs(ChunkIndex failed,
                  std::span<const ChunkIndex> helpers) const;
 
-    /** True if `helpers` suffice to repair `failed`. */
-    bool canRepairWith(ChunkIndex failed,
-                       std::span<const ChunkIndex> helpers) const;
-
   protected:
     /**
      * @param k     data chunks per stripe.
@@ -104,9 +104,9 @@ class LinearCode : public ErasureCode
     /**
      * Deterministic minimal helper subset of `candidates` repairing
      * the single chunk `failed` (single-target analogue of
-     * repairIndices): solve over the ascending candidate list, keep
-     * nonzero-coefficient helpers, prune redundant ones lowest index
-     * first. nullopt when the candidates cannot repair `failed`.
+     * repairIndices): solve over the ascending candidate list and
+     * keep the nonzero-coefficient helpers, irredundant for the same
+     * reason. nullopt when the candidates cannot repair `failed`.
      */
     std::optional<std::vector<ChunkIndex>>
     minimalHelpersFor(ChunkIndex failed,

@@ -157,9 +157,9 @@ LrcCode::makeRepairSpec(ChunkIndex failed,
         for (int j = 0; j < g_; ++j)
             want.push_back(static_cast<ChunkIndex>(k() + g * g_ + j));
         auto helpers = available_of(want);
-        if (helpers.size() == want.size() - 1 &&
-            canRepairWith(failed, helpers))
-            return specFromHelpers(failed, helpers);
+        if (helpers.size() == want.size() - 1)
+            if (auto spec = specFor(failed, helpers))
+                return std::move(*spec);
     } else {
         // Global parity: read the k data chunks when intact.
         std::vector<ChunkIndex> want;
@@ -178,11 +178,11 @@ LrcCode::makeRepairSpec(ChunkIndex failed,
         auto j = i + rng.below(pool.size() - i);
         std::swap(pool[i], pool[j]);
     }
-    auto coeffs = repairCoeffs(failed, pool);
-    CHAMELEON_ASSERT(coeffs.has_value(),
+    auto spec = specFor(failed, pool);
+    CHAMELEON_ASSERT(spec.has_value(),
                      name(), ": failure pattern not recoverable for chunk ",
                      failed);
-    return specFromHelpers(failed, pool);
+    return std::move(*spec);
 }
 
 HelperPool

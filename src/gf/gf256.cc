@@ -46,14 +46,6 @@ counters()
 } // namespace
 
 Elem
-mul(Elem a, Elem b)
-{
-    if (a == 0 || b == 0)
-        return 0;
-    return kTables.exp[kTables.log[a] + kTables.log[b]];
-}
-
-Elem
 inv(Elem a)
 {
     CHAMELEON_ASSERT(a != 0, "inverse of zero");

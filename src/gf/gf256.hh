@@ -22,6 +22,8 @@
 #include <cstdint>
 #include <span>
 
+#include "gf/gf_tables.hh"
+
 namespace chameleon {
 namespace gf {
 
@@ -37,8 +39,19 @@ inline constexpr Elem kOne = 1;
 inline Elem add(Elem a, Elem b) { return a ^ b; }
 inline Elem sub(Elem a, Elem b) { return a ^ b; }
 
-/** Field multiplication via log tables. */
-Elem mul(Elem a, Elem b);
+/**
+ * Field multiplication via log tables. Inline so small-matrix
+ * elimination (ec::LinearCode's repair algebra) pays no call per
+ * cell; byte regions go through the kernels below instead.
+ */
+inline Elem
+mul(Elem a, Elem b)
+{
+    if (a == 0 || b == 0)
+        return 0;
+    return detail::kTables.exp[detail::kTables.log[a] +
+                               detail::kTables.log[b]];
+}
 
 /** Multiplicative inverse; a must be nonzero. */
 Elem inv(Elem a);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Compile-time GF(2^8) log/antilog tables shared by the scalar entry
- * points (gf256.cc) and the region-kernel variants. Internal to
- * src/gf.
+ * points (gf256.hh/gf256.cc) and the region-kernel variants. Other
+ * layers reach them only through gf256.hh's inline mul.
  */
 
 #ifndef CHAMELEON_GF_GF_TABLES_HH_

@@ -31,6 +31,13 @@ Matrix::set(std::size_t r, std::size_t c, Elem v)
     data_[idx(r, c)] = v;
 }
 
+std::span<const Elem>
+Matrix::row(std::size_t r) const
+{
+    CHAMELEON_ASSERT(r < rows_, "matrix row ", r, " out of ", rows_);
+    return {data_.data() + r * cols_, cols_};
+}
+
 Matrix
 Matrix::identity(std::size_t n)
 {

@@ -9,6 +9,7 @@
 #define CHAMELEON_GF_MATRIX_HH_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "gf/gf256.hh"
@@ -28,6 +29,9 @@ class Matrix
 
     Elem at(std::size_t r, std::size_t c) const;
     void set(std::size_t r, std::size_t c, Elem v);
+
+    /** Row r as a contiguous span of cols() elements. */
+    std::span<const Elem> row(std::size_t r) const;
 
     /** Identity matrix of order n. */
     static Matrix identity(std::size_t n);

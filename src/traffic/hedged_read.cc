@@ -317,17 +317,16 @@ HedgedReadManager::onAttemptFailed(const repair::ChunkRepairPlan &plan,
     if (it == active_.end())
         return;
     Read &read = it->second;
-    Attempt *attempt = nullptr;
-    if (read.primary.id != repair::kInvalidRepair &&
-        plan.destination == read.primary.destination)
-        attempt = &read.primary;
-    else if (read.hedge.id != repair::kInvalidRepair &&
-             plan.destination == read.hedge.destination)
-        attempt = &read.hedge;
-    if (attempt == nullptr)
+    auto failed = [&](const Attempt &a) {
+        return a.id != repair::kInvalidRepair &&
+               plan.destination == a.destination;
+    };
+    const bool primary_failed = failed(read.primary);
+    if (!primary_failed && !failed(read.hedge))
         return;
-    releaseReservation(plan.stripe, attempt->destination);
-    *attempt = Attempt{};
+    Attempt &attempt = primary_failed ? read.primary : read.hedge;
+    releaseReservation(plan.stripe, attempt.destination);
+    attempt = Attempt{};
     // The sibling attempt may still be racing; let it finish the
     // read on its own.
     if (read.primary.id != repair::kInvalidRepair ||
